@@ -437,6 +437,7 @@ def cmd_descend(
                 {
                     "status": trace.status,
                     "iterations": trace.iterations,
+                    "canonicalizations": trace.canonicalizations,
                     "J": trace.final_J,
                     "grad_norm": trace.final_grad_norm,
                     "controller": _controller_wire(final),

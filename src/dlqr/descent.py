@@ -6,14 +6,37 @@ stability before its cost is evaluated (the cost is infinite outside the
 stabilizing set), and acceptance additionally requires Armijo decrease.
 The trial step is the Barzilai-Borwein (BB1) quotient from the previous
 accepted step, which keeps progress alive in the ill-conditioned valley
-around the stationary point where fixed small steps stall."""
+around the stationary point where fixed small steps stall.
+
+The worst of that valley runs along the similarity orbit, where the cost
+changes only through the controller's coordinates and the orbit minimum
+has a closed form (optimal_transform). After every CANON_EVERY-th
+accepted step the descent therefore moves the accepted candidate to its
+optimal transform, an orbit jump, and keeps the jump only if its cost is
+no higher; the jump belongs to that step, so the Armijo and monotone-cost
+invariants still hold. The value matrix P of the jumped controller is a
+congruence of the candidate's, but the state correlation Sigma is not,
+because X stays fixed while the coordinates change; the jumped controller
+is therefore evaluated once more, which also gives its gradient. A jump
+resets the Barzilai-Borwein memory, whose quotient would span the change
+of coordinates, and the next trial step is the last accepted one. The
+jump is skipped, keeping the candidate, when the transform does not exist
+(X12 or P12 singular, an unobservable candidate) or the jumped controller
+fails its certificates."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import evaluate
-from .errors import InitFailed
+from .errors import (
+    AssumptionViolated,
+    InitFailed,
+    NotObservable,
+    NotStabilizing,
+    OptimalTransformNotFound,
+    SolverDiverged,
+)
 from .gradient import analytic_gradient
 from .matops import (
     DEFAULT_CONFIG,
@@ -30,6 +53,7 @@ from .model import (
     is_stabilizing,
     observer_based,
 )
+from .similarity import apply, optimal_transform
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -39,6 +63,14 @@ STABILITY_BOUNDARY = "stability_boundary"
 # step exists in the search ray, which happens against the stability
 # boundary (or once J sits at its floating-point floor).
 MAX_BACKTRACKS = 120
+
+# Accepted steps between orbit jumps. On seeds 3-9 of both scalar examples
+# a cadence of 5, 10 or 20 took 1329, 1400 or 1745 iterations in total,
+# against 13117 without jumps; on fourteen random 2- and 3-state plants
+# under a capped iteration budget, 5 took the fewest evaluations in total.
+# A jump at every step keeps resetting the Barzilai-Borwein memory and
+# stalls.
+CANON_EVERY = 5
 
 # Clip range for the Barzilai-Borwein trial step.
 BB_STEP_MIN = 1e-12
@@ -82,13 +114,15 @@ DEFAULT_DESCENT_CONFIG = DescentConfig()
 
 @dataclass(frozen=True, eq=False)
 class DescentStep:
-    """One accepted iterate: controller, its cost, its gradient norm, and
-    the step size that produced it (0.0 for the initial point)."""
+    """One accepted iterate: controller, its cost, its gradient norm, the
+    step size that produced it (0.0 for the initial point), and whether the
+    line-search candidate was then moved to its optimal transform."""
 
     controller: object
     J: float
     grad_norm: float
     step: float
+    canonicalized: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +149,44 @@ class DescentTrace:
     def iterations(self):
         return len(self.steps) - 1
 
+    @property
+    def canonicalizations(self):
+        return sum(step.canonicalized for step in self.steps)
+
 
 def _grad_vector(grad):
     return controller_to_vector(grad.as_controller_direction())
+
+
+def _trial_report(plant, cand, X, solver_cfg):
+    """Cost report of a stabilizing trial point, or None when its
+    certificates fail; the line search then shrinks the step."""
+    try:
+        return evaluate(plant, cand, X, solver_cfg)
+    except SolverDiverged:
+        return None
+
+
+def _orbit_jump(plant, cand, X, cand_report, solver_cfg):
+    """The candidate moved to its optimal similarity transform, with a
+    fresh report, or None when the jump is unavailable or raises J."""
+    try:
+        T = optimal_transform(plant, cand, X, solver_cfg, report=cand_report)
+        jumped = apply(cand, T)
+        report = evaluate(plant, jumped, X, solver_cfg)
+    except (
+        # T* does not exist, or the jumped controller cannot be certified
+        # (rounding in apply can move rho across the stability margin)
+        AssumptionViolated,
+        NotObservable,
+        NotStabilizing,
+        OptimalTransformNotFound,
+        SolverDiverged,
+    ):
+        return None
+    if report.J > cand_report.J:
+        return None
+    return jumped, report
 
 
 def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFIG):
@@ -149,13 +218,16 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
     theta, g_vec = controller_to_vector(init), _grad_vector(grad)
     steps = [DescentStep(controller=init, J=J, grad_norm=grad.norm, step=0.0)]
     prev_theta = prev_g = None
+    # trial step without a usable BB quotient: step0 at the start, the last
+    # accepted step after an orbit jump
+    t_default = cfg.step0
     status = MAX_ITER
-    for _ in range(cfg.max_iter):
+    for k in range(1, cfg.max_iter + 1):
         gnorm = float(np.linalg.norm(g_vec))
         if gnorm <= cfg.grad_tol:
             status = CONVERGED
             break
-        t = cfg.step0
+        t = t_default
         if prev_theta is not None:
             s = theta - prev_theta
             y = g_vec - prev_g
@@ -169,19 +241,39 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
             cand_vec = theta - t * g_vec
             cand = controller_from_vector(controller, cand_vec)
             if is_stabilizing(plant, cand, solver_cfg.stability_margin):
-                cand_report = evaluate(plant, cand, X, solver_cfg)
-                if cand_report.J <= J - cfg.armijo_c * t * gnorm**2 + slack:
+                cand_report = _trial_report(plant, cand, X, solver_cfg)
+                if (
+                    cand_report is not None
+                    and cand_report.J <= J - cfg.armijo_c * t * gnorm**2 + slack
+                ):
                     accepted = True
                     break
             t *= cfg.backtrack_factor
         if not accepted:
             status = STABILITY_BOUNDARY
             break
-        prev_theta, prev_g = theta, g_vec
+        jump = None
+        if k % CANON_EVERY == 0:
+            jump = _orbit_jump(plant, cand, X, cand_report, solver_cfg)
+        if jump is None:
+            prev_theta, prev_g = theta, g_vec
+        else:
+            # the BB quotient would span the change of coordinates
+            cand, cand_report = jump
+            cand_vec = controller_to_vector(cand)
+            prev_theta, t_default = None, t
         controller, J, theta = cand, cand_report.J, cand_vec
         grad = analytic_gradient(plant, controller, X, solver_cfg, report=cand_report)
         g_vec = _grad_vector(grad)
-        steps.append(DescentStep(controller=controller, J=J, grad_norm=grad.norm, step=t))
+        steps.append(
+            DescentStep(
+                controller=controller,
+                J=J,
+                grad_norm=grad.norm,
+                step=t,
+                canonicalized=jump is not None,
+            )
+        )
     if status == MAX_ITER and steps[-1].grad_norm <= cfg.grad_tol:
         status = CONVERGED
     return DescentTrace(steps=tuple(steps), status=status)

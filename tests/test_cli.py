@@ -332,6 +332,7 @@ def test_descend_cli_json(ex1_problem_file, capsys):
     assert payload["grad_norm"] <= 1e-8
     assert payload["distance_to_candidate"]["canonical"] <= 1e-4
     assert payload["J"] == pytest.approx(11.914324683979915, abs=1e-6)
+    assert 0 < payload["canonicalizations"] <= payload["iterations"]
     controller = dlqr.controller_from_wire(payload["controller"], "controller")
     assert dlqr.is_stabilizing(dlqr.Plant(A=1.1, B=1.0, C=1.0, Q=5.0, R=1.0), controller)
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dlqr
-from dlqr import Controller, DescentConfig, InitFailed, NotStabilizing
+from dlqr import Controller, DescentConfig, InitFailed, NotStabilizing, SolverDiverged
 from dlqr import descent as descent_mod
 
 from oracles import random_plant_arrays
@@ -57,14 +57,93 @@ def test_descend_trace_invariants(ex1_plant, cross_X):
     trace = dlqr.descend(ex1_plant, cross_X, init)
     assert trace.status == dlqr.CONVERGED
     assert trace.final_grad_norm <= 1e-8
+    assert not trace.steps[0].canonicalized
+    assert trace.canonicalizations > 0
     slack = 64.0 * np.finfo(float).eps
     for prev, cur in zip(trace.steps, trace.steps[1:]):
-        # every accepted step is stabilizing, takes a positive step, and
-        # satisfies Armijo decrease up to the floating-point slack
+        # every accepted step, orbit jumps included, is stabilizing, takes a
+        # positive step, and satisfies Armijo decrease up to the
+        # floating-point slack
         assert cur.step > 0.0
         assert dlqr.is_stabilizing(ex1_plant, cur.controller)
         bound = prev.J - 1e-4 * cur.step * prev.grad_norm**2 + slack * (1.0 + abs(prev.J))
         assert cur.J <= bound
+        if cur.canonicalized:
+            # a jumped iterate sits at the optimum of its own orbit
+            T = dlqr.optimal_transform(ex1_plant, cur.controller, cross_X)
+            assert_allclose(T.T, np.eye(1), atol=1e-9)
+    for cur, nxt in zip(trace.steps[1:], trace.steps[2:]):
+        if cur.canonicalized:
+            # no BB quotient spans the jump: the next line search starts
+            # from the last accepted step and only halves it
+            ratio = np.frexp(nxt.step / cur.step)
+            assert ratio[0] == 0.5 and ratio[1] <= 1
+
+
+# Largest iteration count over seeds 0-9 was 140 (Example 1) and 124
+# (Example 2); the budget leaves about 2x margin.
+ITERATION_BUDGET = 300
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_descend_converges_within_budget(ex1_plant, ex2_plant, cross_X, seed):
+    cfg = DescentConfig(max_iter=ITERATION_BUDGET)
+    for plant in (ex1_plant, ex2_plant):
+        cert = dlqr.stationary_candidate(plant, cross_X)
+        init = dlqr.random_stabilizing_init(plant, seed)
+        trace = dlqr.descend(plant, cross_X, init, cfg)
+        assert trace.status == dlqr.CONVERGED
+        assert abs(trace.final_J - cert.J) <= 1e-6
+
+
+def test_descend_without_cross_block_never_jumps(ex1_plant, rounded_k1, monkeypatch):
+    # X12 = 0: the orbit minimum is not attained, so every jump is skipped
+    # and the descent is the one that never tries to jump
+    X = np.eye(2)
+    cfg = DescentConfig(max_iter=50)
+    first = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
+    second = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
+    monkeypatch.setattr(descent_mod, "CANON_EVERY", cfg.max_iter + 1)
+    plain = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
+    assert first.iterations == 50
+    assert first.canonicalizations == 0
+    for other in (second, plain):
+        assert [s.J for s in first.steps] == [s.J for s in other.steps]
+        assert [s.step for s in first.steps] == [s.step for s in other.steps]
+
+
+def test_descend_rejects_jump_that_raises_cost(ex1_plant, cross_X, monkeypatch):
+    # H = T^-1 a thousand times the orbit optimum puts the quadratic term
+    # of the orbit cost far above any candidate's J, so every jump must be
+    # dropped in favour of the line-search candidate
+    def worse_transform(plant, controller, X, cfg, report):
+        best = dlqr.optimal_transform(plant, controller, X, cfg, report=report)
+        return dlqr.Transform.from_matrix(1e-3 * best.T)
+
+    monkeypatch.setattr(descent_mod, "optimal_transform", worse_transform)
+    init = dlqr.random_stabilizing_init(ex1_plant, 0)
+    trace = dlqr.descend(ex1_plant, cross_X, init, DescentConfig(max_iter=200))
+    assert trace.canonicalizations == 0
+
+
+def test_descend_backtracks_on_failed_trial_evaluation(
+    ex1_plant, rounded_k1, cross_X, monkeypatch
+):
+    # call 1 evaluates the initial point, call 2 the first trial, which
+    # would otherwise be accepted at step0
+    calls = []
+    real = descent_mod.evaluate
+
+    def fail_first_trial(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) == 2:
+            raise SolverDiverged("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(descent_mod, "evaluate", fail_first_trial)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
+    assert trace.status == dlqr.CONVERGED
+    assert trace.steps[1].step == DescentConfig().step0 / 2
 
 
 def test_descend_reaches_stationary_cost(ex1_plant, ex2_plant, cross_X):
