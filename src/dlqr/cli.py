@@ -33,12 +33,10 @@ from .errors import (
     Unstable,
 )
 from .gradient import analytic_gradient, finite_difference_gradient
-from .matops import SolverConfig, spectral_radius
+from .matops import SolverConfig
 from .model import (
-    assemble,
     controller_from_wire,
     controller_to_vector,
-    is_stabilizing,
     load_problem,
     matrix_to_wire,
 )
@@ -97,10 +95,7 @@ def cmd_eval(problem_file, controller_source=None, as_json=False, tol=None):
     controller = _resolve_controller(problem, controller_source)
     cfg = _solver_config(tol)
     report = evaluate(problem.plant, controller, problem.X, cfg)
-    loop = assemble(problem.plant, controller)
-    rho = spectral_radius(loop.A_cl)
-    lam_P = float(np.min(np.linalg.eigvalsh(report.P)))
-    lam_S = float(np.min(np.linalg.eigvalsh(report.Sigma)))
+    rho, lam_P, lam_S = report.rho, report.lambda_min_P, report.lambda_min_Sigma
     residuals = block_lyapunov_residuals(problem.plant, controller, report)
     if as_json:
         print(
@@ -160,58 +155,33 @@ def cmd_stationary(problem_file, as_json=False, tol=None):
     return 0
 
 
-def _parse_axis(spec):
-    # NAME[i,j]=min:max:steps (indices optional for 1x1 matrices)
+def _parse_target(spec, kind, syntax):
+    # NAME[i,j]=VALUE (indices optional for 1x1 matrices); returns the
+    # target and the unparsed VALUE
     if "=" not in spec:
-        raise SchemaError(f"sweep '{spec}' must look like NAME[i,j]=min:max:steps")
-    target, _, rng = spec.partition("=")
-    m = _SWEEP_TARGET.match(target.strip())
-    if m is None:
-        raise SchemaError(f"sweep target '{target}' must be A_K, B_K or C_K [i,j]")
-    parts = rng.split(":")
-    if len(parts) != 3:
-        raise SchemaError(f"sweep range '{rng}' must be min:max:steps")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as exc:
-        raise SchemaError(f"bad sweep range '{rng}': {exc}") from exc
-    if steps < 2:
-        raise SchemaError("sweep steps must be at least 2")
-    if not lo < hi:
-        raise SchemaError("sweep min must be below max")
-    i = int(m.group(2)) if m.group(2) is not None else None
-    j = int(m.group(3)) if m.group(3) is not None else None
-    return (m.group(1), i, j), np.linspace(lo, hi, steps)
-
-
-def _parse_fix(spec):
-    if "=" not in spec:
-        raise SchemaError(f"fix '{spec}' must look like NAME[i,j]=value")
+        raise SchemaError(f"{kind} '{spec}' must look like NAME[i,j]={syntax}")
     target, _, value = spec.partition("=")
     m = _SWEEP_TARGET.match(target.strip())
     if m is None:
-        raise SchemaError(f"fix target '{target}' must be A_K, B_K or C_K [i,j]")
-    try:
-        v = float(value)
-    except ValueError as exc:
-        raise SchemaError(f"bad fix value '{value}': {exc}") from exc
+        raise SchemaError(f"{kind} target '{target}' must be A_K, B_K or C_K [i,j]")
     i = int(m.group(2)) if m.group(2) is not None else None
     j = int(m.group(3)) if m.group(3) is not None else None
-    return (m.group(1), i, j), v
+    return (m.group(1), i, j), value
 
 
-def _parse_orbit(spec):
+def _parse_range(spec, kind):
+    # min:max:steps
     parts = spec.split(":")
     if len(parts) != 3:
-        raise SchemaError(f"orbit range '{spec}' must be min:max:steps")
+        raise SchemaError(f"{kind} range '{spec}' must be min:max:steps")
     try:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
-        raise SchemaError(f"bad orbit range '{spec}': {exc}") from exc
+        raise SchemaError(f"bad {kind} range '{spec}': {exc}") from exc
     if steps < 2:
-        raise SchemaError("orbit steps must be at least 2")
+        raise SchemaError(f"{kind} steps must be at least 2")
     if not lo < hi:
-        raise SchemaError("orbit min must be below max")
+        raise SchemaError(f"{kind} min must be below max")
     return np.linspace(lo, hi, steps)
 
 
@@ -261,21 +231,24 @@ def cmd_landscape(
     if orbit is not None:
         if sweep_specs or fixes:
             raise SchemaError("--orbit cannot be combined with --sweep/--fix")
-        ts = _parse_orbit(orbit)
+        ts = _parse_range(orbit, "orbit")
         # Similarity preserves the closed-loop spectrum, so stability and
         # rho are those of the base controller for every t.
-        rho = spectral_radius(assemble(plant, base).A_cl)
-        stable = is_stabilizing(plant, base, cfg.stability_margin)
-        report = evaluate(plant, base, problem.X, cfg) if stable else None
+        try:
+            report = evaluate(plant, base, problem.X, cfg)
+        except NotStabilizing as exc:
+            report, rho = None, exc.rho
+        else:
+            rho = report.rho
         for t in ts:
-            if stable:
+            if report is not None:
                 transform = Transform.from_matrix(float(t) * np.eye(plant.n))
                 J = transformed_cost(
                     plant, base, problem.X, transform, cfg, report=report
                 )
             else:
                 J = None
-            lines.append(_csv_row(float(t), None, J, stable, rho))
+            lines.append(_csv_row(float(t), None, J, report is not None, rho))
         _write_lines(out_csv, lines)
         return 0
 
@@ -283,8 +256,17 @@ def cmd_landscape(
         raise SchemaError("landscape needs --sweep (one or two) or --orbit")
     if len(sweep_specs) > 2:
         raise SchemaError("at most two sweep axes are supported")
-    axes = [_parse_axis(s) for s in sweep_specs]
-    fixed = [_parse_fix(s) for s in fixes]
+    axes = []
+    for spec in sweep_specs:
+        target, rng = _parse_target(spec, "sweep", "min:max:steps")
+        axes.append((target, _parse_range(rng, "sweep")))
+    fixed = []
+    for spec in fixes:
+        target, value = _parse_target(spec, "fix", "value")
+        try:
+            fixed.append((target, float(value)))
+        except ValueError as exc:
+            raise SchemaError(f"bad fix value '{value}': {exc}") from exc
 
     def cell(values):
         mats = {
@@ -297,11 +279,11 @@ def cmd_landscape(
         for (target, _), v in zip(axes, values):
             _set_entry(mats, target, v)
         controller = type(base)(**mats)
-        loop = assemble(plant, controller)
-        rho = spectral_radius(loop.A_cl)
-        if rho < 1.0 - cfg.stability_margin:
-            return evaluate(plant, controller, problem.X, cfg).J, True, rho
-        return None, False, rho
+        try:
+            report = evaluate(plant, controller, problem.X, cfg)
+        except NotStabilizing as exc:
+            return None, False, exc.rho
+        return report.J, True, report.rho
 
     if len(axes) == 1:
         for v1 in axes[0][1]:
@@ -438,6 +420,9 @@ def cmd_descend(
                     "status": trace.status,
                     "iterations": trace.iterations,
                     "canonicalizations": trace.canonicalizations,
+                    "evaluations": trace.evaluations,
+                    "backtracks": trace.backtracks,
+                    "rejected_unstable": trace.rejected_unstable,
                     "J": trace.final_J,
                     "grad_norm": trace.final_grad_norm,
                     "controller": _controller_wire(final),

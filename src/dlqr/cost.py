@@ -3,14 +3,18 @@
 The cost J = Tr(P X) = Tr(W_cl Sigma) is computed from two independent
 Lyapunov solves: the value matrix P = W_cl + A_cl^T P A_cl and the state
 correlation Sigma = X + A_cl Sigma A_cl^T. Solving both and reconciling
-the two trace forms cross-validates the solver on every call."""
+the two trace forms cross-validates the solver on every call.
+
+evaluate is the one closed-loop pass: it assembles the loop and takes its
+spectral radius once, and its report carries rho and the PSD margins, so
+callers read them instead of recomputing them."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotStabilizing, SolverDiverged
-from .matops import DEFAULT_CONFIG, solve_dlyap_dual, solve_dlyap_primal, spectral_radius
+from .matops import DEFAULT_CONFIG, _solve_dlyap_certified, _symmetrize, spectral_radius
 from .model import as_second_moment, assemble
 
 # Relative agreement required between the two trace forms of J. Near the
@@ -24,13 +28,20 @@ TRACE_MATCH_RTOL = 1e-7
 class CostReport:
     """Cost value J with its certificate matrices P (value) and Sigma
     (state correlation), the second moment X they were computed for, and
-    named 2x2 block accessors."""
+    named 2x2 block accessors.
+
+    evaluate also records the closed-loop spectral radius rho and the
+    smallest eigenvalues lambda_min_P and lambda_min_Sigma of its PSD
+    checks; they are None on a report built by hand."""
 
     P: np.ndarray
     Sigma: np.ndarray
     X: np.ndarray
     J: float
     n: int
+    rho: float | None = None
+    lambda_min_P: float | None = None
+    lambda_min_Sigma: float | None = None
 
     @property
     def P11(self):
@@ -81,18 +92,31 @@ def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
     loop = assemble(plant, controller)
     rho = spectral_radius(loop.A_cl)
     if rho >= 1.0 - cfg.stability_margin:
-        raise NotStabilizing(f"closed-loop spectral radius {rho} >= 1")
-    P = solve_dlyap_dual(loop.A_cl, loop.W_cl, cfg)
-    Sigma = solve_dlyap_primal(loop.A_cl, X.X, cfg)
+        raise NotStabilizing(f"closed-loop spectral radius {rho} >= 1", rho=rho)
+    # The same certified solves as solve_dlyap_dual and solve_dlyap_primal,
+    # without their input checks: the loop is well formed and already
+    # known to be stable, and X is symmetric.
+    P = _solve_dlyap_certified(loop.A_cl, _symmetrize(loop.W_cl), cfg)
+    Sigma = _solve_dlyap_certified(loop.A_cl.T, X.X, cfg)
     J_value = float(np.trace(P @ X.X))
     J_correlation = float(np.trace(loop.W_cl @ Sigma))
     if abs(J_value - J_correlation) > TRACE_MATCH_RTOL * (1.0 + abs(J_value)):
         raise SolverDiverged(f"trace forms disagree: {J_value} vs {J_correlation}")
+    lambda_min = {}
     for name, M in (("P", P), ("Sigma", Sigma)):
-        floor = -1e-9 * (1.0 + np.linalg.norm(M))
-        if float(np.min(np.linalg.eigvalsh(M))) < floor:
+        lambda_min[name] = float(np.min(np.linalg.eigvalsh(M)))
+        if lambda_min[name] < -1e-9 * (1.0 + np.linalg.norm(M)):
             raise SolverDiverged(f"{name} is not positive semidefinite")
-    return CostReport(P=P, Sigma=Sigma, X=X.X, J=J_value, n=plant.n)
+    return CostReport(
+        P=P,
+        Sigma=Sigma,
+        X=X.X,
+        J=J_value,
+        n=plant.n,
+        rho=rho,
+        lambda_min_P=lambda_min["P"],
+        lambda_min_Sigma=lambda_min["Sigma"],
+    )
 
 
 def block_lyapunov_residuals(plant, controller, report):

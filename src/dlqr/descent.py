@@ -1,9 +1,10 @@
 """Stability-safeguarded gradient descent over (A_K, B_K, C_K).
 
 Plain gradient descent with backtracking line search on the stacked
-controller parameters. Every trial step is screened for closed-loop
-stability before its cost is evaluated (the cost is infinite outside the
-stabilizing set), and acceptance additionally requires Armijo decrease.
+controller parameters. A trial step outside the stabilizing set (where the
+cost is infinite) is rejected by its evaluation, which raises after the
+spectral check and before any Lyapunov solve; acceptance additionally
+requires Armijo decrease.
 The trial step is the Barzilai-Borwein (BB1) quotient from the previous
 accepted step, which keeps progress alive in the ill-conditioned valley
 around the stationary point where fixed small steps stall.
@@ -81,8 +82,10 @@ BB_STEP_MAX = 1e8
 # iteration stalls with the gradient well above any useful tolerance.
 NOISE_SLACK = 64.0 * np.finfo(float).eps
 
-# Rejection-sampling budget for random initialization.
+# Rejection-sampling budget for random initialization, and the number of
+# rejected samples after which the perturbation scale is halved.
 MAX_INIT_ATTEMPTS = 1000
+INIT_HALVE_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -116,13 +119,22 @@ DEFAULT_DESCENT_CONFIG = DescentConfig()
 class DescentStep:
     """One accepted iterate: controller, its cost, its gradient norm, the
     step size that produced it (0.0 for the initial point), and whether the
-    line-search candidate was then moved to its optimal transform."""
+    line-search candidate was then moved to its optimal transform.
+
+    The counters explain the work behind the step: evaluations is the
+    number of evaluate calls it took (line-search trials, the orbit jump;
+    1 for the initial point), backtracks the number of times the trial step
+    was shrunk, and rejected_unstable how many of those trials left the
+    stabilizing set."""
 
     controller: object
     J: float
     grad_norm: float
     step: float
     canonicalized: bool = False
+    backtracks: int = 0
+    rejected_unstable: int = 0
+    evaluations: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,40 +165,44 @@ class DescentTrace:
     def canonicalizations(self):
         return sum(step.canonicalized for step in self.steps)
 
+    @property
+    def backtracks(self):
+        return sum(step.backtracks for step in self.steps)
+
+    @property
+    def rejected_unstable(self):
+        return sum(step.rejected_unstable for step in self.steps)
+
+    @property
+    def evaluations(self):
+        """evaluate calls over the accepted steps; a final line search that
+        found no step (status "stability_boundary") is not counted."""
+        return sum(step.evaluations for step in self.steps)
+
 
 def _grad_vector(grad):
     return controller_to_vector(grad.as_controller_direction())
 
 
-def _trial_report(plant, cand, X, solver_cfg):
-    """Cost report of a stabilizing trial point, or None when its
-    certificates fail; the line search then shrinks the step."""
-    try:
-        return evaluate(plant, cand, X, solver_cfg)
-    except SolverDiverged:
-        return None
-
-
 def _orbit_jump(plant, cand, X, cand_report, solver_cfg):
     """The candidate moved to its optimal similarity transform, with a
-    fresh report, or None when the jump is unavailable or raises J."""
+    fresh report, or None when the jump is unavailable or raises J; and
+    the number of evaluate calls made (0 or 1)."""
     try:
-        T = optimal_transform(plant, cand, X, solver_cfg, report=cand_report)
-        jumped = apply(cand, T)
+        jumped = apply(
+            cand, optimal_transform(plant, cand, X, solver_cfg, report=cand_report)
+        )
+    except (AssumptionViolated, NotObservable, OptimalTransformNotFound):
+        # T* does not exist
+        return None, 0
+    try:
         report = evaluate(plant, jumped, X, solver_cfg)
-    except (
-        # T* does not exist, or the jumped controller cannot be certified
-        # (rounding in apply can move rho across the stability margin)
-        AssumptionViolated,
-        NotObservable,
-        NotStabilizing,
-        OptimalTransformNotFound,
-        SolverDiverged,
-    ):
-        return None
+    except (NotStabilizing, SolverDiverged):
+        # rounding in apply can move rho across the stability margin
+        return None, 1
     if report.J > cand_report.J:
-        return None
-    return jumped, report
+        return None, 1
+    return (jumped, report), 1
 
 
 def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFIG):
@@ -216,7 +232,9 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
     grad = analytic_gradient(plant, init, X, solver_cfg, report=report)
     controller, J = init, report.J
     theta, g_vec = controller_to_vector(init), _grad_vector(grad)
-    steps = [DescentStep(controller=init, J=J, grad_norm=grad.norm, step=0.0)]
+    steps = [
+        DescentStep(controller=init, J=J, grad_norm=grad.norm, step=0.0, evaluations=1)
+    ]
     prev_theta = prev_g = None
     # trial step without a usable BB quotient: step0 at the start, the last
     # accepted step after an orbit jump
@@ -237,24 +255,30 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
             t = min(max(t, BB_STEP_MIN), BB_STEP_MAX)
         slack = NOISE_SLACK * (1.0 + abs(J))
         accepted = False
-        for _ in range(MAX_BACKTRACKS):
+        rejected_unstable = 0
+        for backtracks in range(MAX_BACKTRACKS):
             cand_vec = theta - t * g_vec
             cand = controller_from_vector(controller, cand_vec)
-            if is_stabilizing(plant, cand, solver_cfg.stability_margin):
-                cand_report = _trial_report(plant, cand, X, solver_cfg)
-                if (
-                    cand_report is not None
-                    and cand_report.J <= J - cfg.armijo_c * t * gnorm**2 + slack
-                ):
+            try:
+                cand_report = evaluate(plant, cand, X, solver_cfg)
+            except NotStabilizing:
+                rejected_unstable += 1
+            except SolverDiverged:
+                # a stabilizing trial whose certificates fail
+                pass
+            else:
+                if cand_report.J <= J - cfg.armijo_c * t * gnorm**2 + slack:
                     accepted = True
                     break
             t *= cfg.backtrack_factor
         if not accepted:
             status = STABILITY_BOUNDARY
             break
+        evaluations = backtracks + 1
         jump = None
         if k % CANON_EVERY == 0:
-            jump = _orbit_jump(plant, cand, X, cand_report, solver_cfg)
+            jump, jump_evaluations = _orbit_jump(plant, cand, X, cand_report, solver_cfg)
+            evaluations += jump_evaluations
         if jump is None:
             prev_theta, prev_g = theta, g_vec
         else:
@@ -272,6 +296,9 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
                 grad_norm=grad.norm,
                 step=t,
                 canonicalized=jump is not None,
+                backtracks=backtracks,
+                rejected_unstable=rejected_unstable,
+                evaluations=evaluations,
             )
         )
     if status == MAX_ITER and steps[-1].grad_norm <= cfg.grad_tol:
@@ -284,23 +311,28 @@ def random_stabilizing_init(plant, seed, noise_scale=0.5):
 
     Perturbs the observer-based gains (state feedback from the control
     Riccati solution, observer gain from the filter Riccati solution with
-    unit process noise) entrywise by noise_scale * U(-1, 1) * (1 + |gain|),
+    unit process noise) entrywise by scale * U(-1, 1) * (1 + |gain|),
     rejection-resampling until the closed loop is stable and the
-    realization observable.
+    realization observable. The scale starts at noise_scale and is halved
+    after every INIT_HALVE_EVERY rejected samples, so plants whose
+    stabilizing set is narrow around the observer-based gains (many
+    inputs and outputs) still initialize, while the first INIT_HALVE_EVERY
+    samples are the draws of a fixed scale.
 
     Raises
     ------
     InitFailed
-        If no admissible sample is found in 1000 attempts.
+        If no admissible sample is found in MAX_INIT_ATTEMPTS attempts.
     """
     rng = np.random.default_rng(seed)
     P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
     K0 = lqr_gain(plant.A, plant.B, plant.R, P_hat)
     Sigma_hat = solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
     L0 = filter_gain(plant.A, plant.C, Sigma_hat)
-    for _ in range(MAX_INIT_ATTEMPTS):
-        K = K0 + noise_scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))
-        L = L0 + noise_scale * rng.uniform(-1.0, 1.0, L0.shape) * (1.0 + np.abs(L0))
+    for attempt in range(MAX_INIT_ATTEMPTS):
+        scale = noise_scale * 0.5 ** (attempt // INIT_HALVE_EVERY)
+        K = K0 + scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))
+        L = L0 + scale * rng.uniform(-1.0, 1.0, L0.shape) * (1.0 + np.abs(L0))
         candidate = observer_based(plant, K, L)
         if is_stabilizing(plant, candidate) and is_observable_controller(candidate):
             return candidate

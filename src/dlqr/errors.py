@@ -30,7 +30,14 @@ class SingularInnovation(DlqrError):
 
 
 class NotStabilizing(DlqrError):
-    """Controller does not stabilize the closed loop; the cost is infinite."""
+    """Controller does not stabilize the closed loop; the cost is infinite.
+
+    rho is the closed-loop spectral radius when the raiser computed it
+    (cost.evaluate does), else None."""
+
+    def __init__(self, message="", rho=None):
+        super().__init__(message)
+        self.rho = rho
 
 
 class NotObservable(DlqrError):

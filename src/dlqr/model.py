@@ -235,13 +235,15 @@ def assemble(plant, controller):
         raise DimensionMismatch(
             f"C_K must have {m} rows, got {controller.C_K.shape}"
         )
-    A_cl = np.block(
-        [[plant.A, plant.B @ controller.C_K], [controller.B_K @ plant.C, controller.A_K]]
-    )
-    zero = np.zeros((n, n))
-    W_cl = np.block(
-        [[plant.Q, zero], [zero, controller.C_K.T @ plant.R @ controller.C_K]]
-    )
+    # Filled block by block: np.block would cost more than the products.
+    A_cl = np.empty((2 * n, 2 * n))
+    A_cl[:n, :n] = plant.A
+    A_cl[:n, n:] = plant.B @ controller.C_K
+    A_cl[n:, :n] = controller.B_K @ plant.C
+    A_cl[n:, n:] = controller.A_K
+    W_cl = np.zeros((2 * n, 2 * n))
+    W_cl[:n, :n] = plant.Q
+    W_cl[n:, n:] = controller.C_K.T @ plant.R @ controller.C_K
     return ClosedLoop(A_cl, W_cl)
 
 

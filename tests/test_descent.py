@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -215,3 +217,88 @@ def test_random_init_gives_up_eventually(ex1_plant):
     # absurd noise throws every sample far outside the stabilizing set
     with pytest.raises(InitFailed):
         dlqr.random_stabilizing_init(ex1_plant, 0, noise_scale=1e12)
+
+
+def _mimo_plant(seed):
+    # stable, two inputs and two outputs, where a perturbation scale that
+    # does not shrink never lands in the stabilizing set
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((10, 10))
+    A *= 0.9 / dlqr.spectral_radius(A)
+    B = rng.standard_normal((10, 2))
+    C = rng.standard_normal((2, 10))
+    return dlqr.Plant(A=A, B=B, C=C, Q=np.eye(10), R=np.eye(2))
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_random_init_multi_input_multi_output_plant(seed):
+    plant = _mimo_plant(seed)
+    controller = dlqr.random_stabilizing_init(plant, 0)
+    assert dlqr.is_stabilizing(plant, controller)
+    assert dlqr.is_observable_controller(controller)
+
+
+def _fixed_scale_init(plant, seed, noise_scale=0.5):
+    # the sampler with a perturbation scale that never shrinks
+    rng = np.random.default_rng(seed)
+    P = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
+    K0 = dlqr.lqr_gain(plant.A, plant.B, plant.R, P)
+    Sigma = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
+    L0 = dlqr.filter_gain(plant.A, plant.C, Sigma)
+    while True:
+        K = K0 + noise_scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))
+        L = L0 + noise_scale * rng.uniform(-1.0, 1.0, L0.shape) * (1.0 + np.abs(L0))
+        candidate = dlqr.observer_based(plant, K, L)
+        if dlqr.is_stabilizing(plant, candidate) and dlqr.is_observable_controller(
+            candidate
+        ):
+            return candidate
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_random_init_scalar_examples_unchanged_by_shrinking(ex1_plant, ex2_plant, seed):
+    for plant in (ex1_plant, ex2_plant):
+        new = dlqr.random_stabilizing_init(plant, seed)
+        old = _fixed_scale_init(plant, seed)
+        for name in ("A_K", "B_K", "C_K"):
+            assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+
+
+def test_descend_step_counters(ex1_plant, cross_X, monkeypatch):
+    calls = []
+    real = descent_mod.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(descent_mod, "evaluate", counting)
+    init = dlqr.random_stabilizing_init(ex1_plant, 0)
+    trace = dlqr.descend(ex1_plant, cross_X, init)
+    assert trace.status == dlqr.CONVERGED
+    first = trace.steps[0]
+    assert (first.evaluations, first.backtracks, first.rejected_unstable) == (1, 0, 0)
+    for k, step in enumerate(trace.steps[1:], start=1):
+        # every trial but the accepted one was backtracked; a jump attempt
+        # at every CANON_EVERY-th step evaluates at most once more
+        jump_evals = step.evaluations - step.backtracks - 1
+        assert jump_evals in ((0, 1) if k % descent_mod.CANON_EVERY == 0 else (0,))
+        assert jump_evals == 1 or not step.canonicalized
+        assert 0 <= step.rejected_unstable <= step.backtracks
+    assert trace.evaluations == len(calls)
+    assert trace.backtracks == sum(s.backtracks for s in trace.steps)
+    assert trace.rejected_unstable == sum(s.rejected_unstable for s in trace.steps)
+
+
+def test_descend_cli_json_reports_counter_totals(ex1_problem_file, tmp_path, capsys):
+    from dlqr.cli import main
+
+    argv = ["descend", "--problem", ex1_problem_file, "--json", "--out", str(tmp_path / "t.csv")]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    problem = dlqr.load_problem(ex1_problem_file)
+    trace = dlqr.descend(problem.plant, problem.X, problem.seed_controller)
+    assert payload["iterations"] == trace.iterations
+    assert payload["evaluations"] == trace.evaluations > trace.iterations
+    assert payload["backtracks"] == trace.backtracks
+    assert payload["rejected_unstable"] == trace.rejected_unstable
