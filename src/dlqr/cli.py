@@ -232,6 +232,8 @@ def cmd_landscape(
         if sweep_specs or fixes:
             raise SchemaError("--orbit cannot be combined with --sweep/--fix")
         ts = _parse_range(orbit, "orbit")
+        if np.any(ts == 0.0):
+            raise SchemaError(f"orbit range '{orbit}' contains t = 0 (t*I is singular)")
         # Similarity preserves the closed-loop spectrum, so stability and
         # rho are those of the base controller for every t.
         try:
@@ -516,9 +518,9 @@ def _build_parser():
     return parser
 
 
+# AssumptionViolated is a ValueError.
 _INPUT_ERRORS = (
     SchemaError,
-    AssumptionViolated,
     DimensionMismatch,
     NonSquare,
     SingularTransform,

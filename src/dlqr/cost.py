@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStabilizing, SolverDiverged
-from .matops import DEFAULT_CONFIG, _solve_dlyap_certified, _symmetrize, spectral_radius
+from .matops import (
+    DEFAULT_CONFIG,
+    _check_psd,
+    _solve_dlyap_certified,
+    _symmetrize,
+    spectral_radius,
+)
 from .model import as_second_moment, assemble
 
 # Relative agreement required between the two trace forms of J. Near the
@@ -102,11 +108,6 @@ def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
     J_correlation = float(np.trace(loop.W_cl @ Sigma))
     if abs(J_value - J_correlation) > TRACE_MATCH_RTOL * (1.0 + abs(J_value)):
         raise SolverDiverged(f"trace forms disagree: {J_value} vs {J_correlation}")
-    lambda_min = {}
-    for name, M in (("P", P), ("Sigma", Sigma)):
-        lambda_min[name] = float(np.min(np.linalg.eigvalsh(M)))
-        if lambda_min[name] < -1e-9 * (1.0 + np.linalg.norm(M)):
-            raise SolverDiverged(f"{name} is not positive semidefinite")
     return CostReport(
         P=P,
         Sigma=Sigma,
@@ -114,8 +115,8 @@ def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
         J=J_value,
         n=plant.n,
         rho=rho,
-        lambda_min_P=lambda_min["P"],
-        lambda_min_Sigma=lambda_min["Sigma"],
+        lambda_min_P=_check_psd(P, "P", SolverDiverged),
+        lambda_min_Sigma=_check_psd(Sigma, "Sigma", SolverDiverged),
     )
 
 

@@ -21,8 +21,10 @@ class SolverDiverged(DlqrError):
     """An iterative solver exhausted its budget or failed its residual check."""
 
 
-class AssumptionViolated(DlqrError):
-    """Plant data fails a structural assumption (rank tests, definiteness)."""
+class AssumptionViolated(DlqrError, ValueError):
+    """Input data fails a structural assumption (rank tests, definiteness,
+    symmetry, finiteness). Also a ValueError: it is the error of invalid
+    input values."""
 
 
 class SingularInnovation(DlqrError):

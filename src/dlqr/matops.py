@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     AssumptionViolated,
+    DimensionMismatch,
     NonSquare,
     SingularInnovation,
     SolverDiverged,
@@ -23,18 +24,27 @@ from .errors import (
 # Kronecker linear solve; above it the squaring iteration is used.
 KRON_DIM_LIMIT = 12
 
-# Relative singular-value threshold for numerical rank decisions.
-RANK_RTOL = 1e-9
+# The one singular-value rule of every rank and invertibility decision: a
+# matrix counts as numerically singular (rank deficient) when
+# sigma_min <= SINGULAR_RTOL * sigma_max.
+SINGULAR_RTOL = 1e-10
+
+# Rounding floor of the symmetry and PSD checks: an asymmetry, or a
+# negative eigenvalue, up to PSD_RTOL * (1 + ||M||_F) is accepted.
+PSD_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Shared tolerances for the iterative solvers.
 
-    tol is the convergence threshold on the Frobenius distance between
-    successive iterates (scaled by 1 + the iterate norm), max_iter caps the
-    iteration count, and stability_margin is the epsilon in the stability
-    test rho < 1 - epsilon.
+    tol is the relative tolerance of every solver certificate: a Riccati
+    iteration stops once successive iterates differ by at most
+    tol * (1 + ||P||_F), a Lyapunov solution must leave a residual of at
+    most tol * (1 + ||P||_F), and the doubling iteration stops once its
+    increment is at most half that. max_iter caps the iteration count,
+    and stability_margin is the epsilon in the stability test
+    rho < 1 - epsilon.
     """
 
     tol: float = 1e-12
@@ -53,14 +63,18 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _as_square(M, name="matrix"):
+def _as_matrix(M, name="matrix", square=False):
+    """M as a finite 2-d float array, a scalar as 1x1; NonSquare if square
+    is set and M is not square."""
     M = np.asarray(M, dtype=float)
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2:
+        M = np.atleast_2d(M)
+    if square and (M.ndim != 2 or M.shape[0] != M.shape[1]):
         raise NonSquare(f"{name} must be square, got shape {M.shape}")
+    if M.ndim != 2:
+        raise DimensionMismatch(f"{name} must be a matrix, got ndim {M.ndim}")
     if not np.all(np.isfinite(M)):
-        raise ValueError(f"{name} has non-finite entries")
+        raise AssumptionViolated(f"{name} has non-finite entries")
     return M
 
 
@@ -69,10 +83,29 @@ def _symmetrize(M):
 
 
 def _check_symmetric(M, name):
-    scale = 1.0 + np.linalg.norm(M)
-    if np.linalg.norm(M - M.T) > 1e-9 * scale:
-        raise ValueError(f"{name} must be symmetric")
+    """Symmetric part of M, which must be symmetric up to the rounding floor."""
+    if np.linalg.norm(M - M.T) > PSD_RTOL * (1.0 + np.linalg.norm(M)):
+        raise AssumptionViolated(f"{name} must be symmetric")
     return _symmetrize(M)
+
+
+def _check_psd(M, name, error=AssumptionViolated, definite=False):
+    """Smallest eigenvalue of the symmetric matrix M, after checking that M
+    is positive semidefinite up to the rounding floor or, if definite is
+    set, that the eigenvalue is positive. A failed check raises error."""
+    lam = float(np.min(np.linalg.eigvalsh(M)))
+    if definite:
+        if lam <= 0.0:
+            raise error(f"{name} is not positive definite")
+    elif lam < -PSD_RTOL * (1.0 + np.linalg.norm(M)):
+        raise error(f"{name} is not positive semidefinite")
+    return lam
+
+
+def _is_singular(M):
+    """The singular-value rule: sigma_min(M) <= SINGULAR_RTOL * sigma_max(M)."""
+    sv = np.linalg.svd(M, compute_uv=False)
+    return bool(sv[-1] <= SINGULAR_RTOL * sv[0])
 
 
 def spectral_radius(M):
@@ -87,7 +120,7 @@ def spectral_radius(M):
     float
         max over |lambda_i(M)|.
     """
-    M = _as_square(M, "M")
+    M = _as_matrix(M, "M", square=True)
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
@@ -98,8 +131,8 @@ def dlyap_kron(A, W):
     the solution of (I - kron(A^T, A^T)) vec(P) = vec(W). Exact up to the
     conditioning of the dense solve; intended for small dimensions.
     """
-    A = _as_square(A, "A")
-    W = _as_square(W, "W")
+    A = _as_matrix(A, "A", square=True)
+    W = _as_matrix(W, "W", square=True)
     n = A.shape[0]
     # kron(A^T, A^T) from one outer product: each entry is the same single
     # product as np.kron's, so the matrix is bit-identical and far cheaper.
@@ -114,8 +147,8 @@ def dlyap_doubling(A, W, cfg=DEFAULT_CONFIG):
     Accumulates partial sums of the series sum_k (A^T)^k W A^k while
     squaring A, doubling the number of series terms per pass.
     """
-    A = _as_square(A, "A")
-    W = _as_square(W, "W")
+    A = _as_matrix(A, "A", square=True)
+    W = _as_matrix(W, "W", square=True)
     P = W.copy()
     M = A.copy()
     for _ in range(cfg.max_iter):
@@ -163,8 +196,8 @@ def solve_dlyap_dual(A, W, cfg=DEFAULT_CONFIG):
     SolverDiverged
         If the residual certificate cannot be met.
     """
-    A = _as_square(A, "A")
-    W = _check_symmetric(_as_square(W, "W"), "W")
+    A = _as_matrix(A, "A", square=True)
+    W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
     rho = spectral_radius(A)
     if rho >= 1.0 - cfg.stability_margin:
         raise Unstable(f"rho(A) = {rho} is not inside the stability margin")
@@ -177,18 +210,33 @@ def solve_dlyap_primal(A, W, cfg=DEFAULT_CONFIG):
 
 
 def lqr_gain(A, B, R, P):
-    """State-feedback gain (R + B^T P B)^{-1} B^T P A for a given value matrix."""
+    """State-feedback gain (R + B^T P B)^{-1} B^T P A for a given value
+    matrix; SingularInnovation if the innovation R + B^T P B is singular."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     R = np.atleast_2d(np.asarray(R, dtype=float))
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    return np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    S = R + B.T @ P @ B
+    if _is_singular(S):
+        raise SingularInnovation("innovation R + B^T P B is numerically singular")
+    return np.linalg.solve(S, B.T @ P @ A)
 
 
-def _check_invertible(S, context):
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] <= 1e-12 * sv[0]:
-        raise SingularInnovation(f"{context} is numerically singular")
+def _solve_dare(A, B, Q, R, cfg, equation):
+    """Fixed-point iteration of the control Riccati equation on validated
+    data, with the stabilizing-gain check; equation names it in errors."""
+    P = Q.copy()
+    for _ in range(cfg.max_iter):
+        gain = lqr_gain(A, B, R, P)
+        P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
+        # The map residual at P equals the Riccati residual, so returning
+        # the pre-update iterate certifies the equation directly.
+        if np.linalg.norm(P_next - P) <= cfg.tol * (1.0 + np.linalg.norm(P)):
+            if spectral_radius(A - B @ gain) >= 1.0:
+                raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
+            return P
+        P = P_next
+    raise SolverDiverged(f"{equation} Riccati iteration exhausted max_iter")
 
 
 def solve_dare_control(A, B, Q, R, cfg=DEFAULT_CONFIG):
@@ -215,37 +263,24 @@ def solve_dare_control(A, B, Q, R, cfg=DEFAULT_CONFIG):
     SolverDiverged
         If the iteration budget is exhausted or the gain is not stable.
     """
-    A = _as_square(A, "A")
+    A = _as_matrix(A, "A", square=True)
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    Q = _check_symmetric(_as_square(Q, "Q"), "Q")
-    R = _check_symmetric(_as_square(R, "R"), "R")
+    Q = _check_symmetric(_as_matrix(Q, "Q", square=True), "Q")
+    R = _check_symmetric(_as_matrix(R, "R", square=True), "R")
     if not is_controllable(A, B):
         raise AssumptionViolated("(A, B) must be controllable")
     if not is_observable(psd_sqrt(Q), A):
         raise AssumptionViolated("(Q^{1/2}, A) must be observable")
-    P = Q.copy()
-    for _ in range(cfg.max_iter):
-        S = R + B.T @ P @ B
-        _check_invertible(S, "R + B^T P B")
-        gain = np.linalg.solve(S, B.T @ P @ A)
-        P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
-        # The map residual at P equals the Riccati residual, so returning
-        # the pre-update iterate certifies the equation directly.
-        if np.linalg.norm(P_next - P) <= cfg.tol * (1.0 + np.linalg.norm(P)):
-            K = lqr_gain(A, B, R, P)
-            if spectral_radius(A - B @ K) >= 1.0:
-                raise SolverDiverged("control Riccati gain is not stabilizing")
-            return P
-        P = P_next
-    raise SolverDiverged("control Riccati iteration exhausted max_iter")
+    return _solve_dare(A, B, Q, R, cfg, "control")
 
 
 def solve_dare_filter(A, C, W, cfg=DEFAULT_CONFIG):
     """Stabilizing solution of the filter Riccati equation.
 
-    Fixed-point iteration on
-        Sigma <- W + A Sigma A^T - A Sigma C^T (C Sigma C^T)^{-1} C Sigma A^T
-    started from Sigma = W.
+        Sigma = W + A Sigma A^T - A Sigma C^T (C Sigma C^T)^{-1} C Sigma A^T
+
+    is the control equation on the dual data (A^T, C^T, W, R = 0), and is
+    solved by the same fixed-point iteration, started from Sigma = W.
 
     Parameters
     ----------
@@ -262,39 +297,27 @@ def solve_dare_filter(A, C, W, cfg=DEFAULT_CONFIG):
     SolverDiverged
         If the iteration budget is exhausted or the gain is not stable.
     """
-    A = _as_square(A, "A")
+    A = _as_matrix(A, "A", square=True)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    W = _check_symmetric(_as_square(W, "W"), "W")
+    W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
     if not is_observable(C, A):
         raise AssumptionViolated("(C, A) must be observable")
-    Sigma = W.copy()
-    for _ in range(cfg.max_iter):
-        S = C @ Sigma @ C.T
-        _check_invertible(S, "C Sigma C^T")
-        gain = np.linalg.solve(S, C @ Sigma @ A.T)
-        Sigma_next = _symmetrize(W + A @ Sigma @ A.T - A @ Sigma @ C.T @ gain)
-        if np.linalg.norm(Sigma_next - Sigma) <= cfg.tol * (1.0 + np.linalg.norm(Sigma)):
-            L = filter_gain(A, C, Sigma)
-            if spectral_radius(A - L @ C) >= 1.0:
-                raise SolverDiverged("filter Riccati gain is not stabilizing")
-            return Sigma
-        Sigma = Sigma_next
-    raise SolverDiverged("filter Riccati iteration exhausted max_iter")
+    d = C.shape[0]
+    return _solve_dare(A.T, C.T, W, np.zeros((d, d)), cfg, "filter")
 
 
 def filter_gain(A, C, Sigma):
-    """Observer gain A Sigma C^T (C Sigma C^T)^{-1} for a given correlation."""
+    """Observer gain A Sigma C^T (C Sigma C^T)^{-1} for a given correlation:
+    the transposed control gain of the dual data (A^T, C^T, R = 0), which
+    raises SingularInnovation if C Sigma C^T is singular."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    S = C @ Sigma @ C.T
-    _check_invertible(S, "C Sigma C^T")
-    return np.linalg.solve(S, C @ Sigma @ A.T).T
+    return lqr_gain(A.T, C.T, 0.0, Sigma).T
 
 
 def psd_sqrt(M):
     """Symmetric PSD square root via eigendecomposition (negatives clipped)."""
-    M = _check_symmetric(_as_square(M, "M"), "M")
+    M = _check_symmetric(_as_matrix(M, "M", square=True), "M")
     w, V = np.linalg.eigh(M)
     w = np.clip(w, 0.0, None)
     return V @ np.diag(np.sqrt(w)) @ V.T
@@ -302,7 +325,7 @@ def psd_sqrt(M):
 
 def controllability_matrix(A, B):
     """Kalman controllability matrix [B, AB, ..., A^{n-1}B]."""
-    A = _as_square(A, "A")
+    A = _as_matrix(A, "A", square=True)
     B = np.atleast_2d(np.asarray(B, dtype=float))
     blocks = [B]
     for _ in range(A.shape[0] - 1):
@@ -310,27 +333,25 @@ def controllability_matrix(A, B):
     return np.hstack(blocks)
 
 
-def has_full_row_rank(M, rtol=RANK_RTOL):
-    """Numerical full-row-rank test: sigma > rtol * sigma_max counts."""
-    sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return False
-    return int(np.sum(sv > rtol * sv[0])) == M.shape[0]
+def has_full_row_rank(M):
+    """Numerical full-row-rank test: at most as many rows as columns, and
+    not singular by the singular-value rule."""
+    return M.shape[0] <= M.shape[1] and not _is_singular(M)
 
 
-def is_controllable(A, B, rtol=RANK_RTOL):
+def is_controllable(A, B):
     """Kalman rank test for controllability of (A, B)."""
-    return has_full_row_rank(controllability_matrix(A, B), rtol)
+    return has_full_row_rank(controllability_matrix(A, B))
 
 
-def is_observable(C, A, rtol=RANK_RTOL):
+def is_observable(C, A):
     """Kalman rank test for observability of (C, A), by duality."""
-    A = _as_square(A, "A")
+    A = _as_matrix(A, "A", square=True)
     C = np.atleast_2d(np.asarray(C, dtype=float))
-    return is_controllable(A.T, C.T, rtol)
+    return is_controllable(A.T, C.T)
 
 
-def rank_tests(A, B, C, Q, rtol=RANK_RTOL):
+def rank_tests(A, B, C, Q):
     """Kalman-rank verdicts for the plant assumptions.
 
     Returns
@@ -341,7 +362,7 @@ def rank_tests(A, B, C, Q, rtol=RANK_RTOL):
         observable_QA: (Q^{1/2}, A) observable.
     """
     return {
-        "controllable": is_controllable(A, B, rtol),
-        "observable_CA": is_observable(C, A, rtol),
-        "observable_QA": is_observable(psd_sqrt(Q), A, rtol),
+        "controllable": is_controllable(A, B),
+        "observable_CA": is_observable(C, A),
+        "observable_QA": is_observable(psd_sqrt(Q), A),
     }

@@ -14,30 +14,7 @@ from .errors import (
     NotStabilizing,
     SchemaError,
 )
-from .matops import DEFAULT_CONFIG
-
-
-def _coerce(M, name):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a matrix, got ndim {M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise AssumptionViolated(f"{name} has non-finite entries")
-    return M
-
-
-def _min_eig(M):
-    return float(np.min(np.linalg.eigvalsh(M)))
-
-
-def _require_symmetric(M, name):
-    if np.linalg.norm(M - M.T) > 1e-9 * (1.0 + np.linalg.norm(M)):
-        raise AssumptionViolated(f"{name} must be symmetric")
-    return 0.5 * (M + M.T)
-
-
-# PSD checks tolerate symmetric-eigensolver noise at this relative floor.
-PSD_TOL = 1e-9
+from .matops import DEFAULT_CONFIG, _as_matrix, _check_psd, _check_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +35,11 @@ class Plant:
     R: np.ndarray
 
     def __post_init__(self):
-        A = _coerce(self.A, "A")
-        B = _coerce(self.B, "B")
-        C = _coerce(self.C, "C")
-        Q = _coerce(self.Q, "Q")
-        R = _coerce(self.R, "R")
+        A = _as_matrix(self.A, "A")
+        B = _as_matrix(self.B, "B")
+        C = _as_matrix(self.C, "C")
+        Q = _as_matrix(self.Q, "Q")
+        R = _as_matrix(self.R, "R")
         n = A.shape[0]
         if A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {A.shape}")
@@ -75,12 +52,10 @@ class Plant:
         m = B.shape[1]
         if R.shape != (m, m):
             raise DimensionMismatch(f"R must be {m}x{m}, got {R.shape}")
-        Q = _require_symmetric(Q, "Q")
-        R = _require_symmetric(R, "R")
-        if _min_eig(Q) < -PSD_TOL * (1.0 + np.linalg.norm(Q)):
-            raise AssumptionViolated("Q must be positive semidefinite")
-        if _min_eig(R) <= 0.0:
-            raise AssumptionViolated("R must be positive definite")
+        Q = _check_symmetric(Q, "Q")
+        R = _check_symmetric(R, "R")
+        _check_psd(Q, "Q")
+        _check_psd(R, "R", definite=True)
         if not matops.has_full_row_rank(C):
             raise AssumptionViolated("C must have full row rank")
         verdicts = matops.rank_tests(A, B, C, Q)
@@ -119,9 +94,9 @@ class Controller:
     C_K: np.ndarray
 
     def __post_init__(self):
-        A_K = _coerce(self.A_K, "A_K")
-        B_K = _coerce(self.B_K, "B_K")
-        C_K = _coerce(self.C_K, "C_K")
+        A_K = _as_matrix(self.A_K, "A_K")
+        B_K = _as_matrix(self.B_K, "B_K")
+        C_K = _as_matrix(self.C_K, "C_K")
         n = A_K.shape[0]
         if A_K.shape != (n, n):
             raise DimensionMismatch(f"A_K must be square, got {A_K.shape}")
@@ -167,12 +142,11 @@ class SecondMoment:
     X: np.ndarray
 
     def __post_init__(self):
-        X = _coerce(self.X, "X")
+        X = _as_matrix(self.X, "X")
         if X.shape[0] != X.shape[1] or X.shape[0] % 2 != 0:
             raise DimensionMismatch(f"X must be square of even size, got {X.shape}")
-        X = _require_symmetric(X, "X")
-        if _min_eig(X) < -PSD_TOL * (1.0 + np.linalg.norm(X)):
-            raise AssumptionViolated("X must be positive semidefinite")
+        X = _check_symmetric(X, "X")
+        _check_psd(X, "X")
         object.__setattr__(self, "X", X)
 
     @property
@@ -192,7 +166,11 @@ class SecondMoment:
         return self.X[self.n :, self.n :]
 
     def is_positive_definite(self):
-        return _min_eig(self.X) > 0.0
+        try:
+            _check_psd(self.X, "X", definite=True)
+        except AssumptionViolated:
+            return False
+        return True
 
 
 def as_second_moment(X, n=None):
@@ -247,15 +225,16 @@ def assemble(plant, controller):
     return ClosedLoop(A_cl, W_cl)
 
 
-def is_stabilizing(plant, controller, margin=DEFAULT_CONFIG.stability_margin):
-    """True iff the closed-loop spectral radius is below 1 - margin."""
+def is_stabilizing(plant, controller):
+    """True iff the closed-loop spectral radius is below 1 - margin, the
+    default SolverConfig stability margin."""
     loop = assemble(plant, controller)
-    return matops.spectral_radius(loop.A_cl) < 1.0 - margin
+    return matops.spectral_radius(loop.A_cl) < 1.0 - DEFAULT_CONFIG.stability_margin
 
 
-def is_observable_controller(controller, rtol=matops.RANK_RTOL):
+def is_observable_controller(controller):
     """Kalman observability of the pair (C_K, A_K)."""
-    return matops.is_observable(controller.C_K, controller.A_K, rtol)
+    return matops.is_observable(controller.C_K, controller.A_K)
 
 
 def observer_based(plant, K_gain, L_gain):

@@ -12,17 +12,13 @@ import numpy as np
 
 from .cost import evaluate
 from .errors import (
-    AssumptionViolated,
     NonSquare,
     NotObservable,
     OptimalTransformNotFound,
     SingularTransform,
 )
-from .matops import DEFAULT_CONFIG
+from .matops import DEFAULT_CONFIG, _as_matrix, _check_psd, _is_singular
 from .model import Controller, is_observable_controller
-
-# Relative singular-value floor below which a block has no usable inverse.
-SINGULAR_RTOL = 1e-10
 
 # Scaled stationarity residual allowed for the returned optimal transform.
 OPTIMALITY_TOL = 1e-9
@@ -43,15 +39,14 @@ class Transform:
         ------
         NonSquare
             If T is not a square 2-d array.
+        AssumptionViolated
+            If T has non-finite entries.
         SingularTransform
-            If T is singular to working precision.
+            If T is numerically singular.
         """
-        T = np.atleast_2d(np.asarray(T, dtype=float))
-        if T.ndim != 2 or T.shape[0] != T.shape[1]:
-            raise NonSquare(f"transform must be square, got shape {T.shape}")
-        svals = np.linalg.svd(T, compute_uv=False)
-        if svals[-1] <= SINGULAR_RTOL * max(svals[0], 1e-300):
-            raise SingularTransform(f"transform is singular (sigma_min={svals[-1]})")
+        T = _as_matrix(T, "transform", square=True)
+        if _is_singular(T):
+            raise SingularTransform("transform is numerically singular")
         return cls(T=T, T_inv=np.linalg.solve(T, np.eye(T.shape[0])))
 
     @classmethod
@@ -125,11 +120,6 @@ def transformed_cost(plant, controller, X, transform, cfg=DEFAULT_CONFIG, report
     return g_surrogate(report, transform.T_inv)
 
 
-def _relative_rank_deficient(M):
-    svals = np.linalg.svd(M, compute_uv=False)
-    return svals[-1] <= SINGULAR_RTOL * max(svals[0], 1e-300)
-
-
 def optimal_transform(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
     """Minimizer T* of the cost over the similarity orbit of the controller.
 
@@ -157,10 +147,9 @@ def optimal_transform(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
     X22 = report.X[n:, n:]
     if not is_observable_controller(controller):
         raise NotObservable("controller realization is unobservable")
-    if float(np.min(np.linalg.eigvalsh(report.X))) <= 0.0:
-        raise AssumptionViolated("second moment must be positive definite")
+    _check_psd(report.X, "second moment", definite=True)
     for name, M in (("X12", X12), ("P12", report.P12)):
-        if _relative_rank_deficient(M):
+        if _is_singular(M):
             raise OptimalTransformNotFound(
                 f"{name} is singular; the orbit minimum is not attained"
             )

@@ -14,17 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import evaluate
-from .errors import AssumptionViolated, SingularInnovation, SingularX12
+from .errors import SingularInnovation, SingularX12
 from .gradient import gradient_from_report
 from .matops import (
     DEFAULT_CONFIG,
+    _check_psd,
+    _is_singular,
+    _symmetrize,
     filter_gain,
     lqr_gain,
     solve_dare_control,
     solve_dare_filter,
 )
 from .model import Controller, as_second_moment, observer_based
-from .similarity import SINGULAR_RTOL, Transform, apply
+from .similarity import Transform, apply
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,10 +80,8 @@ def stationary_candidate(plant, X, cfg=DEFAULT_CONFIG):
         If either Riccati solve fails.
     """
     X = as_second_moment(X, plant.n)
-    if not X.is_positive_definite():
-        raise AssumptionViolated("X must be positive definite")
-    svals = np.linalg.svd(X.X12, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] <= SINGULAR_RTOL * svals[0]:
+    _check_psd(X.X, "X", definite=True)
+    if _is_singular(X.X12):
         raise SingularX12("X12 is singular; no observable stationary point exists")
 
     P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R, cfg)
@@ -88,8 +89,7 @@ def stationary_candidate(plant, X, cfg=DEFAULT_CONFIG):
 
     # Schur complement of X22 in X: the part of the plant-state second
     # moment not explained by the controller state.
-    Delta_X = X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T)
-    Delta_X = 0.5 * (Delta_X + Delta_X.T)
+    Delta_X = _symmetrize(X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T))
     Sigma_hat = solve_dare_filter(plant.A, plant.C, Delta_X, cfg)
     L = filter_gain(plant.A, plant.C, Sigma_hat)
 

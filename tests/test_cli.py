@@ -241,7 +241,7 @@ def test_landscape_matrix_entry_addressing(tmp_path):
     assert main(args[:3] + ["--sweep", "B_K=0:1:3", "--out", str(out)]) == 3
 
 
-def test_landscape_spec_errors_exit_3(ex1_problem_file, tmp_path):
+def test_landscape_spec_errors_exit_3(ex1_problem_file, tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     base = ["landscape", "--problem", ex1_problem_file, "--out", out]
     assert main(base) == 3  # no sweep and no orbit
@@ -254,6 +254,9 @@ def test_landscape_spec_errors_exit_3(ex1_problem_file, tmp_path):
     assert main(base + three) == 3
     assert main(base + ["--orbit", "1:2:3", "--sweep", "B_K=0:1:3"]) == 3
     assert main(base + ["--orbit", "2:1:5"]) == 3
+    capsys.readouterr()
+    assert main(base + ["--orbit=-1:1:3"]) == 3  # the grid contains t = 0
+    assert "t = 0" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(ex1_problem_file, capsys):

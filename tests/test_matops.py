@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from dlqr import (
     AssumptionViolated,
     NonSquare,
+    OptimalTransformNotFound,
+    Plant,
     SingularInnovation,
+    SingularTransform,
+    SingularX12,
     SolverConfig,
     SolverDiverged,
+    Transform,
     Unstable,
     dlyap_doubling,
     dlyap_kron,
@@ -16,13 +21,16 @@ from dlqr import (
     is_controllable,
     is_observable,
     lqr_gain,
+    optimal_transform,
     psd_sqrt,
+    random_stabilizing_init,
     rank_tests,
     solve_dare_control,
     solve_dare_filter,
     solve_dlyap_dual,
     solve_dlyap_primal,
     spectral_radius,
+    stationary_candidate,
 )
 
 from oracles import (
@@ -155,17 +163,21 @@ def test_solve_dare_control_rejects_unobservable_cost():
 
 def test_solve_dare_filter_matches_control_by_duality():
     # substituting (A, B, Q, R) -> (A^T, C^T, W, 0) turns the control
-    # equation into the filter equation
+    # equation into the filter equation; both run the same iteration, so
+    # the solutions and gains agree bit for bit, with two outputs and one
     rng = np.random.default_rng(9)
     A = rng.normal(size=(3, 3)) * 0.7
-    C = rng.normal(size=(2, 3))
+    C2 = rng.normal(size=(2, 3))
     G = rng.normal(size=(3, 3))
     W = G @ G.T + 0.1 * np.eye(3)
-    Sigma = solve_dare_filter(A, C, W)
-    dual = solve_dare_control(A.T, C.T, W, np.zeros((2, 2)))
-    assert_allclose(Sigma, dual, rtol=1e-9, atol=1e-9)
-    L = filter_gain(A, C, Sigma)
-    assert spectral_radius(A - L @ C) < 1.0
+    for C in (C2, C2[:1]):
+        d = C.shape[0]
+        Sigma = solve_dare_filter(A, C, W)
+        dual = solve_dare_control(A.T, C.T, W, np.zeros((d, d)))
+        assert_array_equal(Sigma, dual)
+        L = filter_gain(A, C, Sigma)
+        assert_array_equal(L, lqr_gain(A.T, C.T, 0, Sigma).T)
+        assert spectral_radius(A - L @ C) < 1.0
 
 
 def test_solve_dare_filter_scalar_full_observation():
@@ -187,6 +199,52 @@ def test_solve_dare_filter_rejects_unobservable():
 def test_filter_gain_singular_innovation():
     with pytest.raises(SingularInnovation):
         filter_gain(1.0, 1.0, np.zeros((1, 1)))
+
+
+_A2 = np.array([[0.5, 1.0], [1.0, 0.3]])
+
+
+def _siso_plant():
+    return Plant(A=_A2, B=[[1.0], [0.0]], C=[[1.0, 0.0]], Q=np.eye(2), R=1.0)
+
+
+def _cross_moment(X12):
+    return np.block([[2.0 * np.eye(2), X12], [X12.T, 2.0 * np.eye(2)]])
+
+
+def _optimal_transform_site(X12):
+    plant = _siso_plant()
+    return optimal_transform(plant, random_stabilizing_init(plant, 0), _cross_moment(X12))
+
+
+# Every caller of the singular-value rule with the error it raises; each is
+# fed a 2x2 matrix D whose sigma_min / sigma_max is the ratio.
+SINGULAR_VALUE_SITES = {
+    "filter_gain": (lambda D: filter_gain(np.eye(2), np.eye(2), D), SingularInnovation),
+    "Transform.from_matrix": (Transform.from_matrix, SingularTransform),
+    "stationary_candidate_X12": (
+        lambda D: stationary_candidate(_siso_plant(), _cross_moment(D)),
+        SingularX12,
+    ),
+    "optimal_transform_X12": (_optimal_transform_site, OptimalTransformNotFound),
+    "Plant_C_rank": (
+        lambda D: Plant(A=_A2, B=np.eye(2), C=D, Q=np.eye(2), R=np.eye(2)),
+        AssumptionViolated,
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(SINGULAR_VALUE_SITES))
+@pytest.mark.parametrize("ratio, singular", [(5e-11, True), (2e-10, False)])
+def test_one_singular_value_rule_at_every_call_site(site, ratio, singular):
+    # one rule everywhere: singular when sigma_min <= 1e-10 * sigma_max
+    call, error = SINGULAR_VALUE_SITES[site]
+    D = np.diag([1.0, ratio])
+    if singular:
+        with pytest.raises(error):
+            call(D)
+    else:
+        call(D)
 
 
 def test_psd_sqrt_squares_back():
