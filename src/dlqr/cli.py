@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .cost import block_lyapunov_residuals, evaluate
+from .cost import _Gains, _stacked_costs, block_lyapunov_residuals, evaluate
 from .descent import DescentConfig, descend, random_stabilizing_init
 from .errors import (
     AssumptionViolated,
@@ -185,7 +185,8 @@ def _parse_range(spec, kind):
     return np.linspace(lo, hi, steps)
 
 
-def _set_entry(mats, target, value):
+def _entry(mats, target):
+    # (name, i, j) of a sweep or fix target, checked against the matrices
     name, i, j = target
     M = mats[name]
     if i is None:
@@ -194,7 +195,7 @@ def _set_entry(mats, target, value):
         i = j = 0
     if not (0 <= i < M.shape[0] and 0 <= j < M.shape[1]):
         raise SchemaError(f"{name}[{i},{j}] is out of bounds for shape {M.shape}")
-    M[i, j] = value
+    return name, i, j
 
 
 def _csv_row(axis1, axis2, J, stabilizing, rho):
@@ -270,32 +271,28 @@ def cmd_landscape(
         except ValueError as exc:
             raise SchemaError(f"bad fix value '{value}': {exc}") from exc
 
-    def cell(values):
-        mats = {
-            "A_K": base.A_K.copy(),
-            "B_K": base.B_K.copy(),
-            "C_K": base.C_K.copy(),
-        }
-        for target, v in fixed:
-            _set_entry(mats, target, v)
-        for (target, _), v in zip(axes, values):
-            _set_entry(mats, target, v)
-        controller = type(base)(**mats)
-        try:
-            report = evaluate(plant, controller, problem.X, cfg)
-        except NotStabilizing as exc:
-            return None, False, exc.rho
-        return report.J, True, report.rho
-
-    if len(axes) == 1:
-        for v1 in axes[0][1]:
-            J, stable, rho = cell([float(v1)])
-            lines.append(_csv_row(float(v1), None, J, stable, rho))
-    else:
-        for v1 in axes[0][1]:
-            for v2 in axes[1][1]:
-                J, stable, rho = cell([float(v1), float(v2)])
-                lines.append(_csv_row(float(v1), float(v2), J, stable, rho))
+    mats = {"A_K": base.A_K.copy(), "B_K": base.B_K.copy(), "C_K": base.C_K.copy()}
+    for target, v in fixed:
+        name, i, j = _entry(mats, target)
+        mats[name][i, j] = v
+    entries = [_entry(mats, target) for target, _ in axes]
+    # One slice per cell, in row order: the last axis varies fastest.
+    grid = [g.ravel() for g in np.meshgrid(*(v for _, v in axes), indexing="ij")]
+    stacks = {k: np.repeat(M[None], len(grid[0]), axis=0) for k, M in mats.items()}
+    for (name, i, j), values in zip(entries, grid):
+        stacks[name][:, i, j] = values
+    finite = np.all([np.isfinite(M).all(axis=(1, 2)) for M in stacks.values()], axis=0)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        type(base)(**{key: M[k] for key, M in stacks.items()})  # raises its error
+    J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X, cfg)
+    for k, values in enumerate(zip(*grid)):
+        exc = errors.get(k)
+        if exc is not None and not isinstance(exc, NotStabilizing):
+            raise exc
+        axis2 = float(values[1]) if len(values) == 2 else None
+        cost = J[k] if exc is None else None
+        lines.append(_csv_row(float(values[0]), axis2, cost, exc is None, rho[k]))
     _write_lines(out_csv, lines)
     return 0
 

@@ -5,6 +5,13 @@ All routines work on plain numpy arrays and are pure functions of their
 inputs. Problems here are desk-scale, so the Lyapunov solvers favour an
 exact dense solve (Kronecker vectorization) for small closed loops and
 fall back to a squaring iteration for larger ones.
+
+Each Lyapunov route has one implementation, over a stack of N matrices of
+one size; the public 2-d solvers are its N = 1 calls. Every stacked step
+is the same per-slice numpy or LAPACK operation as its 2-d form, so a
+slice's result is bit-identical to solving it alone. Per-slice decisions
+(stop rules, certificates) compare Python floats: on the few slices of a
+stack that is cheaper than numpy's per-call cost on short arrays.
 """
 
 from dataclasses import dataclass
@@ -79,7 +86,15 @@ def _as_matrix(M, name="matrix", square=False):
 
 
 def _symmetrize(M):
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + M.swapaxes(-1, -2))
+
+
+def _fro(M):
+    """Frobenius norm of each matrix in the stack M, bit-identical to
+    np.linalg.norm of the slice: both take one dot product of the
+    row-major entries."""
+    v = M.reshape(len(M), 1, -1)
+    return np.sqrt(np.matmul(v, v.transpose(0, 2, 1)).ravel())
 
 
 def _check_symmetric(M, name):
@@ -89,15 +104,26 @@ def _check_symmetric(M, name):
     return _symmetrize(M)
 
 
+def _min_eig(M):
+    """Smallest eigenvalue of each symmetric matrix in the stack M."""
+    return np.linalg.eigvalsh(M)[..., 0]
+
+
+def _below_psd_floor(lam, norm):
+    """Whether each smallest eigenvalue lam of a stack of matrices with
+    Frobenius norms norm falls below the PSD rounding floor."""
+    return lam < -PSD_RTOL * (1.0 + norm)
+
+
 def _check_psd(M, name, error=AssumptionViolated, definite=False):
     """Smallest eigenvalue of the symmetric matrix M, after checking that M
     is positive semidefinite up to the rounding floor or, if definite is
     set, that the eigenvalue is positive. A failed check raises error."""
-    lam = float(np.min(np.linalg.eigvalsh(M)))
+    lam = float(_min_eig(M))
     if definite:
         if lam <= 0.0:
             raise error(f"{name} is not positive definite")
-    elif lam < -PSD_RTOL * (1.0 + np.linalg.norm(M)):
+    elif _below_psd_floor(lam, np.linalg.norm(M)):
         raise error(f"{name} is not positive semidefinite")
     return lam
 
@@ -106,6 +132,12 @@ def _is_singular(M):
     """The singular-value rule: sigma_min(M) <= SINGULAR_RTOL * sigma_max(M)."""
     sv = np.linalg.svd(M, compute_uv=False)
     return bool(sv[-1] <= SINGULAR_RTOL * sv[0])
+
+
+def _spectral_radii(M):
+    """Largest absolute eigenvalue of each matrix in the stack M, from one
+    stacked eigvals (a scalar for a 2-d M)."""
+    return np.abs(np.linalg.eigvals(M)).max(axis=-1)
 
 
 def spectral_radius(M):
@@ -121,7 +153,64 @@ def spectral_radius(M):
         max over |lambda_i(M)|.
     """
     M = _as_matrix(M, "M", square=True)
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    return float(_spectral_radii(M))
+
+
+def _route_bytes(m):
+    """Bytes of the largest per-slice array the Lyapunov route of size m
+    builds: the m^2 x m^2 Kronecker system, or an m x m doubling iterate."""
+    return 8 * m**4 if m <= KRON_DIM_LIMIT else 8 * m * m
+
+
+def _kron_route(A, W):
+    """Kronecker solves of P = W + A^T P A for a stack A of (N, n, n) and
+    W of (N, n, n) or (n, n).
+
+    Vectorizing row-major, vec(A^T P A) = kron(A^T, A^T) vec(P), so each P
+    solves (I - kron(A^T, A^T)) vec(P) = vec(W); all N systems go to one
+    stacked solve."""
+    N, n = A.shape[0], A.shape[-1]
+    At = A.swapaxes(-1, -2)
+    # kron(A^T, A^T) from one outer product per slice: each entry is the
+    # same single product as np.kron's, so the matrix is bit-identical and
+    # far cheaper.
+    kron = (At[:, :, None, :, None] * At[:, None, :, None, :]).reshape(N, n * n, n * n)
+    P = np.linalg.solve(np.eye(n * n) - kron, W.reshape(-1, n * n, 1))
+    return _symmetrize(P.reshape(N, n, n))
+
+
+_UNCONVERGED = "doubling Lyapunov iteration exhausted max_iter"
+
+
+def _doubling_route(A, W, cfg):
+    """Squaring iterations of P = W + A^T P A for a stack A of (N, n, n) and
+    W of (N, n, n) or (n, n).
+
+    Each slice accumulates partial sums of its series sum_k (A^T)^k W A^k
+    while squaring A, and stops on its own rule: a converged slice leaves
+    the stack, so none iterates past its stop. Returns the solutions and
+    the indices of the slices that exhausted cfg.max_iter."""
+    P, M = W.copy(), A.copy()
+    out = np.empty(A.shape)
+    live = np.arange(len(A))
+    half_tol = 0.5 * cfg.tol
+    for _ in range(cfg.max_iter):
+        increment = M.swapaxes(-1, -2) @ P @ M
+        P = _symmetrize(P + increment)
+        done = [
+            d <= half_tol * (1.0 + p)
+            for d, p in zip(_fro(increment).tolist(), _fro(P).tolist())
+        ]
+        if all(done):
+            out[live] = P
+            return out, live[:0]
+        if any(done):
+            going = np.logical_not(done)
+            out[live[~going]] = P[~going]
+            live, P, M = live[going], P[going], M[going]
+        M = M @ M
+    out[live] = P
+    return out, live
 
 
 def dlyap_kron(A, W):
@@ -133,12 +222,7 @@ def dlyap_kron(A, W):
     """
     A = _as_matrix(A, "A", square=True)
     W = _as_matrix(W, "W", square=True)
-    n = A.shape[0]
-    # kron(A^T, A^T) from one outer product: each entry is the same single
-    # product as np.kron's, so the matrix is bit-identical and far cheaper.
-    kron = np.multiply.outer(A.T, A.T).transpose(0, 2, 1, 3).reshape(n * n, n * n)
-    P = np.linalg.solve(np.eye(n * n) - kron, W.ravel()).reshape(n, n)
-    return _symmetrize(P)
+    return _kron_route(A[None], W[None])[0]
 
 
 def dlyap_doubling(A, W, cfg=DEFAULT_CONFIG):
@@ -149,28 +233,31 @@ def dlyap_doubling(A, W, cfg=DEFAULT_CONFIG):
     """
     A = _as_matrix(A, "A", square=True)
     W = _as_matrix(W, "W", square=True)
-    P = W.copy()
-    M = A.copy()
-    for _ in range(cfg.max_iter):
-        increment = M.T @ P @ M
-        P = _symmetrize(P + increment)
-        if np.linalg.norm(increment) <= 0.5 * cfg.tol * (1.0 + np.linalg.norm(P)):
-            return P
-        M = M @ M
-    raise SolverDiverged("doubling Lyapunov iteration exhausted max_iter")
+    P, unconverged = _doubling_route(A[None], W[None], cfg)
+    if len(unconverged):
+        raise SolverDiverged(_UNCONVERGED)
+    return P[0]
 
 
 def _solve_dlyap_certified(A, W, cfg):
-    """Route and residual certificate of solve_dlyap_dual, for a validated
-    A already known to be stable and a symmetric W."""
-    if A.shape[0] <= KRON_DIM_LIMIT:
-        P = dlyap_kron(A, W)
+    """Route and residual certificate of solve_dlyap_dual over a stack:
+    A (N, m, m) validated and known to be stable, W symmetric, (N, m, m)
+    or one (m, m) weight for every slice. Returns the solutions, a list of
+    their Frobenius norms and a dict from slice index to the SolverDiverged
+    of each slice that failed."""
+    if A.shape[-1] <= KRON_DIM_LIMIT:
+        P, unconverged = _kron_route(A, W), ()
     else:
-        P = dlyap_doubling(A, W, cfg)
-    residual = np.linalg.norm(P - W - A.T @ P @ A)
-    if residual > cfg.tol * (1.0 + np.linalg.norm(P)):
-        raise SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
-    return P
+        P, unconverged = _doubling_route(A, W, cfg)
+    errors = {int(k): SolverDiverged(_UNCONVERGED) for k in unconverged}
+    residuals = _fro(P - W - A.swapaxes(-1, -2) @ P @ A).tolist()
+    norms = _fro(P).tolist()
+    for k, (residual, norm) in enumerate(zip(residuals, norms)):
+        if residual > cfg.tol * (1.0 + norm):
+            errors.setdefault(
+                k, SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
+            )
+    return P, norms, errors
 
 
 def solve_dlyap_dual(A, W, cfg=DEFAULT_CONFIG):
@@ -201,7 +288,10 @@ def solve_dlyap_dual(A, W, cfg=DEFAULT_CONFIG):
     rho = spectral_radius(A)
     if rho >= 1.0 - cfg.stability_margin:
         raise Unstable(f"rho(A) = {rho} is not inside the stability margin")
-    return _solve_dlyap_certified(A, W, cfg)
+    P, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
+    if errors:
+        raise errors.pop(0)
+    return P[0]
 
 
 def solve_dlyap_primal(A, W, cfg=DEFAULT_CONFIG):

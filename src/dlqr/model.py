@@ -184,44 +184,45 @@ def as_second_moment(X, n=None):
 
 @dataclass(frozen=True, eq=False)
 class ClosedLoop:
-    """Closed-loop pair: transition matrix A_cl and stage weight W_cl."""
+    """Closed-loop pair: transition matrix A_cl and stage weight W_cl
+    (stacks of them for stacked controller gains)."""
 
     A_cl: np.ndarray
     W_cl: np.ndarray
 
     @property
     def n(self):
-        return self.A_cl.shape[0] // 2
+        return self.A_cl.shape[-1] // 2
 
 
 def assemble(plant, controller):
     """Closed loop of plant and controller.
 
     A_cl = [[A, B C_K], [B_K C, A_K]] drives the joint state; the stage
-    weight is W_cl = blockdiag(Q, C_K^T R C_K).
+    weight is W_cl = blockdiag(Q, C_K^T R C_K). controller may also carry
+    stacks of N gains, (N, n, n), (N, n, d) and (N, m, n); the loop is then
+    the (N, 2n, 2n) stack of each slice's loop.
     """
+    A_K, B_K, C_K = controller.A_K, controller.B_K, controller.C_K
     n, m, d = plant.n, plant.m, plant.d
-    if controller.n != n:
+    if A_K.shape[-1] != n:
         raise DimensionMismatch(
-            f"controller order {controller.n} does not match plant order {n}"
+            f"controller order {A_K.shape[-1]} does not match plant order {n}"
         )
-    if controller.B_K.shape[1] != d:
-        raise DimensionMismatch(
-            f"B_K must have {d} columns, got {controller.B_K.shape}"
-        )
-    if controller.C_K.shape[0] != m:
-        raise DimensionMismatch(
-            f"C_K must have {m} rows, got {controller.C_K.shape}"
-        )
+    if B_K.shape[-1] != d:
+        raise DimensionMismatch(f"B_K must have {d} columns, got {B_K.shape[-2:]}")
+    if C_K.shape[-2] != m:
+        raise DimensionMismatch(f"C_K must have {m} rows, got {C_K.shape[-2:]}")
     # Filled block by block: np.block would cost more than the products.
-    A_cl = np.empty((2 * n, 2 * n))
-    A_cl[:n, :n] = plant.A
-    A_cl[:n, n:] = plant.B @ controller.C_K
-    A_cl[n:, :n] = controller.B_K @ plant.C
-    A_cl[n:, n:] = controller.A_K
-    W_cl = np.zeros((2 * n, 2 * n))
-    W_cl[:n, :n] = plant.Q
-    W_cl[n:, n:] = controller.C_K.T @ plant.R @ controller.C_K
+    shape = A_K.shape[:-2] + (2 * n, 2 * n)
+    A_cl = np.empty(shape)
+    A_cl[..., :n, :n] = plant.A
+    A_cl[..., :n, n:] = plant.B @ C_K
+    A_cl[..., n:, :n] = B_K @ plant.C
+    A_cl[..., n:, n:] = A_K
+    W_cl = np.zeros(shape)
+    W_cl[..., :n, :n] = plant.Q
+    W_cl[..., n:, n:] = C_K.swapaxes(-1, -2) @ plant.R @ C_K
     return ClosedLoop(A_cl, W_cl)
 
 

@@ -2,9 +2,16 @@
 
 Everything here is deliberately written against plain numpy arrays, not
 against the package's own types, so a bug in the library cannot hide
-inside its own test oracle."""
+inside its own test oracle. The one exception is finite_difference_oracle,
+the per-coordinate reference loop that the batched finite-difference
+gradient must reproduce bit for bit; it calls the package's evaluate once
+per probe."""
 
 import numpy as np
+
+import dlqr
+from dlqr import Controller, NotStabilizing
+from dlqr.gradient import FD_MAX_HALVINGS
 
 
 def scalar_dare_control_root(a, b, q, r):
@@ -144,3 +151,43 @@ def random_invertible(rng, n, min_sv=0.1):
         T = rng.normal(size=(n, n))
         if np.linalg.svd(T, compute_uv=False)[-1] >= min_sv:
             return T
+
+
+def _fd_coordinate(plant, controller, X, mats, key, idx, base, cfg):
+    # Central difference in one coordinate, shrinking the step if a
+    # perturbation exits the stabilizing set.
+    h = base
+    for _ in range(FD_MAX_HALVINGS + 1):
+        try:
+            vals = []
+            for sign in (1.0, -1.0):
+                shifted = {k: v.copy() for k, v in mats.items()}
+                shifted[key][idx] += sign * h
+                probe = Controller(**shifted)
+                vals.append(dlqr.evaluate(plant, probe, X, cfg).J)
+            return (vals[0] - vals[1]) / (2.0 * h)
+        except NotStabilizing:
+            h *= 0.5
+    raise NotStabilizing(
+        f"finite difference in {key}{list(idx)} kept leaving the stabilizing set"
+    )
+
+
+def finite_difference_oracle(plant, controller, X, step=1e-6, cfg=dlqr.DEFAULT_CONFIG):
+    """Central-difference gradient, coordinate by coordinate, one evaluate
+    per probe: the reference for dlqr.finite_difference_gradient.
+
+    Each coordinate uses a relative step h = step * (1 + |theta_i|). Near
+    the stability boundary the step is halved (up to 20 times) until both
+    one-sided evaluations stay stabilizing.
+    """
+    dlqr.evaluate(plant, controller, X, cfg)  # fail fast at the base point
+    mats = {"A_K": controller.A_K, "B_K": controller.B_K, "C_K": controller.C_K}
+    grads = {}
+    for key, M in mats.items():
+        G = np.zeros_like(M)
+        for idx in np.ndindex(M.shape):
+            h = step * (1.0 + abs(M[idx]))
+            G[idx] = _fd_coordinate(plant, controller, X, mats, key, idx, h, cfg)
+        grads[key] = G
+    return dlqr.GradientTriple(dA_K=grads["A_K"], dB_K=grads["B_K"], dC_K=grads["C_K"])

@@ -241,6 +241,74 @@ def test_landscape_matrix_entry_addressing(tmp_path):
     assert main(args[:3] + ["--sweep", "B_K=0:1:3", "--out", str(out)]) == 3
 
 
+def landscape_oracle(plant, X, axes, cfg=dlqr.DEFAULT_CONFIG, **fixed):
+    """CSV text of a landscape sweep, one evaluate per cell: axes lists
+    (name, values) pairs over scalar controller entries, fixed gives the
+    other entries. Raises what the first failing cell raises."""
+    lines = ["axis1,axis2,J,stabilizing,rho"]
+    grid = [[(v,)] for v in axes[0][1]]
+    if len(axes) == 2:
+        grid = [[(v1, v2) for v2 in axes[1][1]] for v1 in axes[0][1]]
+    for row in grid:
+        for values in row:
+            entries = dict(fixed)
+            entries.update({name: v for (name, _), v in zip(axes, values)})
+            try:
+                report = dlqr.evaluate(plant, dlqr.Controller(**entries), X, cfg)
+                J, stable, rho = f"{report.J:.17g}", 1, report.rho
+            except dlqr.NotStabilizing as exc:
+                J, stable, rho = "", 0, exc.rho
+            axis2 = f"{values[1]:.17g}" if len(values) == 2 else ""
+            lines.append(f"{values[0]:.17g},{axis2},{J},{stable},{rho:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_landscape_one_axis_bytes_match_per_cell_evaluate(
+    ex1_problem_file, ex1_plant, cross_X, tmp_path
+):
+    out = tmp_path / "line.csv"
+    argv = ["landscape", "--problem", ex1_problem_file, "--sweep", "C_K=-1.5:0.5:41",
+            "--fix", "B_K=1.1", "--out", str(out)]
+    assert main(argv) == 0
+    expected = landscape_oracle(
+        ex1_plant, cross_X, [("C_K", np.linspace(-1.5, 0.5, 41))], A_K=-0.944, B_K=1.1
+    )
+    assert ",0," in expected and ",1," in expected
+    assert out.read_bytes() == expected.encode()
+
+
+def test_landscape_two_axis_bytes_match_per_cell_evaluate(
+    ex2_problem_file, ex2_plant, cross_X, tmp_path
+):
+    out = tmp_path / "grid.csv"
+    argv = ["landscape", "--problem", ex2_problem_file, "--sweep", "B_K=-4:4:17",
+            "--sweep", "C_K=-4:4:19", "--out", str(out)]
+    assert main(argv) == 0
+    axes = [("B_K", np.linspace(-4, 4, 17)), ("C_K", np.linspace(-4, 4, 19))]
+    expected = landscape_oracle(ex2_plant, cross_X, axes, A_K=-0.765)
+    assert ",0," in expected and ",1," in expected
+    assert out.read_bytes() == expected.encode()
+
+
+def test_landscape_solver_failure_reports_first_failing_cell(
+    ex1_problem_file, ex1_plant, cross_X, tmp_path, capsys
+):
+    # at this tolerance the certificates of stable cells fail on rounding,
+    # each with its own residual; the grid opens on an unstable cell, and
+    # the command must fail on the first failing cell in sweep order
+    argv = ["landscape", "--problem", ex1_problem_file, "--sweep", "C_K=-0.3:-0.1:5",
+            "--sweep", "B_K=0.5:3:6", "--fix", "A_K=-0.944", "--tol", "1e-20",
+            "--out", str(tmp_path / "grid.csv")]
+    capsys.readouterr()
+    assert main(argv) == 5
+    axes = [("C_K", np.linspace(-0.3, -0.1, 5)), ("B_K", np.linspace(0.5, 3, 6))]
+    cfg = dlqr.SolverConfig(tol=1e-20)
+    with pytest.raises(dlqr.SolverDiverged) as exc:
+        landscape_oracle(ex1_plant, cross_X, axes, cfg, A_K=-0.944)
+    assert capsys.readouterr().err == f"dlqr: check failed: {exc.value}\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_landscape_spec_errors_exit_3(ex1_problem_file, tmp_path, capsys):
     out = str(tmp_path / "x.csv")
     base = ["landscape", "--problem", ex1_problem_file, "--out", out]

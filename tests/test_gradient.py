@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import dlqr
-from dlqr import Controller, NotStabilizing
+from dlqr import Controller, NotStabilizing, SolverDiverged
+from dlqr import gradient as gradient_mod
 
-from oracles import random_plant_arrays
+from oracles import finite_difference_oracle, random_pd_second_moment, random_plant_arrays
 
 
 def stacked_diff(ga, gf):
@@ -125,3 +126,128 @@ def test_finite_differences_reject_nonstabilizing_base(ex1_plant, cross_X):
         dlqr.finite_difference_gradient(
             ex1_plant, Controller(A_K=0.0, B_K=0.0, C_K=0.0), cross_X
         )
+
+
+def assert_same_gradient(ga, gb):
+    for a, b in zip((ga.dA_K, ga.dB_K, ga.dC_K), (gb.dA_K, gb.dB_K, gb.dC_K)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_batched_finite_differences_match_per_coordinate_loop(
+    ex1_plant, ex2_plant, rounded_k1, rounded_k2, cross_X
+):
+    for plant, controller in ((ex1_plant, rounded_k1), (ex2_plant, rounded_k2)):
+        assert_same_gradient(
+            dlqr.finite_difference_gradient(plant, controller, cross_X),
+            finite_difference_oracle(plant, controller, cross_X),
+        )
+
+
+def test_batched_finite_differences_match_loop_through_halvings(ex1_plant, cross_X):
+    controller = find_near_boundary_controller(ex1_plant)
+    assert_same_gradient(
+        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
+        finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-4),
+    )
+
+
+def test_batched_finite_differences_match_loop_two_inputs_two_outputs():
+    rng = np.random.default_rng(41)
+    for n in (2, 3):
+        plant = dlqr.Plant(**random_plant_arrays(rng, n, 2, 2))
+        X = random_pd_second_moment(rng, n)
+        controller = dlqr.random_stabilizing_init(plant, 3)
+        assert controller.B_K.shape == (n, 2) and controller.C_K.shape == (2, n)
+        assert_same_gradient(
+            dlqr.finite_difference_gradient(plant, controller, X),
+            finite_difference_oracle(plant, controller, X),
+        )
+
+
+def _raised(fn):
+    try:
+        fn()
+    except dlqr.DlqrError as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+def test_exhausted_halvings_raise_as_the_loop_does(ex1_plant, cross_X):
+    # on the boundary to rounding, some coordinate leaves the stabilizing
+    # set even after 20 halvings of a large step
+    lo, hi = -0.944, 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if dlqr.is_stabilizing(ex1_plant, Controller(A_K=-0.944, B_K=1.1, C_K=mid)):
+            lo = mid
+        else:
+            hi = mid
+    controller = Controller(A_K=-0.944, B_K=1.1, C_K=lo)
+    batched = _raised(
+        lambda: dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-2)
+    )
+    loop = _raised(lambda: finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-2))
+    assert batched == loop
+    assert batched[0] is NotStabilizing
+    assert "kept leaving the stabilizing set" in batched[1]
+
+
+def _inject(monkeypatch, probes):
+    """Make the probes named in probes, (A_K, B_K, C_K) scalar triples, fail
+    with SolverDiverged naming the probe, in the batched gradient and in
+    the loop's evaluate alike."""
+    original_costs = gradient_mod._stacked_costs
+    original_evaluate = dlqr.evaluate
+
+    def message(triple):
+        return f"injected at {tuple(float(v) for v in triple)}"
+
+    def stacked(plant, gains, X, cfg):
+        J, rho, errors = original_costs(plant, gains, X, cfg)
+        for k in range(len(gains.A_K)):
+            triple = (gains.A_K[k, 0, 0], gains.B_K[k, 0, 0], gains.C_K[k, 0, 0])
+            if triple in probes and k not in errors:
+                errors[k] = SolverDiverged(message(triple))
+        return J, rho, errors
+
+    def evaluate(plant, controller, X, cfg=dlqr.DEFAULT_CONFIG):
+        triple = (controller.A_K[0, 0], controller.B_K[0, 0], controller.C_K[0, 0])
+        report = original_evaluate(plant, controller, X, cfg)
+        if triple in probes:
+            raise SolverDiverged(message(triple))
+        return report
+
+    monkeypatch.setattr(gradient_mod, "_stacked_costs", stacked)
+    monkeypatch.setattr(dlqr, "evaluate", evaluate)
+
+
+def test_solver_failure_of_minus_probe_after_unstable_plus_probe_halves(
+    ex1_plant, cross_X, monkeypatch
+):
+    # the loop never evaluates -h once +h left the stabilizing set, so a
+    # failure there must halve the step, not raise
+    controller = find_near_boundary_controller(ex1_plant)
+    a, b, c = (float(M[0, 0]) for M in (controller.A_K, controller.B_K, controller.C_K))
+    h = 1e-4 * (1.0 + abs(c))
+    assert not dlqr.is_stabilizing(ex1_plant, Controller(A_K=a, B_K=b, C_K=c + h))
+    expected = dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4)
+    _inject(monkeypatch, {(a, b, c - h)})
+    assert_same_gradient(
+        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
+        finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-4),
+    )
+    assert_same_gradient(
+        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
+        expected,
+    )
+
+
+def test_solver_failures_raise_in_coordinate_order(ex1_plant, rounded_k1, cross_X, monkeypatch):
+    a, b, c = (float(M[0, 0]) for M in (rounded_k1.A_K, rounded_k1.B_K, rounded_k1.C_K))
+    step = lambda v: 1e-6 * (1.0 + abs(v))  # noqa: E731
+    # -h of C_K and +h of B_K fail; B_K comes first
+    _inject(monkeypatch, {(a, b, c - step(c)), (a, b + step(b), c)})
+    batched = _raised(lambda: dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X))
+    loop = _raised(lambda: finite_difference_oracle(ex1_plant, rounded_k1, cross_X))
+    assert batched == loop == (SolverDiverged, f"injected at {(a, b + step(b), c)}")
