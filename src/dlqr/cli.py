@@ -4,19 +4,31 @@ Problem files are JSON (see the model module schema). Sweeps write CSV
 with deterministic row order; all numbers are printed with 17 significant
 digits so downstream plots reproduce bit-faithfully.
 
+The parser is built once, at import, and holds every default: `--tol` is
+SolverConfig's tolerance on the solver commands and GRADCHECK_DEFAULT_TOL on
+`gradcheck`, and the `descend` flags are DescentConfig's fields. `main`
+calls `cmd_<command>(args)` with the parsed namespace, looking the handler
+up by name at call time, so a patched module attribute is the one called.
+
 Exit codes: 0 success, 2 not stabilizing, 3 input/schema error,
 4 non-existence of the requested object, 5 check or solver failure.
 """
 
 import argparse
 import json
+import math
 import re
 import sys
 
 import numpy as np
 
 from .cost import _Gains, _stacked_costs, block_lyapunov_residuals, evaluate
-from .descent import DescentConfig, descend, random_stabilizing_init
+from .descent import (
+    DEFAULT_DESCENT_CONFIG,
+    DescentConfig,
+    descend,
+    random_stabilizing_init,
+)
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
@@ -33,17 +45,26 @@ from .errors import (
     Unstable,
 )
 from .gradient import analytic_gradient, finite_difference_gradient
-from .matops import SolverConfig
+from .matops import DEFAULT_CONFIG, SolverConfig
 from .model import (
     controller_from_wire,
     controller_to_vector,
     load_problem,
     matrix_to_wire,
 )
-from .similarity import Transform, apply, optimal_transform, transformed_cost
+from .similarity import apply, g_surrogate, optimal_transform
 from .stationary import stationary_candidate
 
 GRADCHECK_DEFAULT_TOL = 1e-5
+
+# descend's line-search flags and the DescentConfig fields they set
+_DESCENT_FLAGS = {
+    "--step0": "step0",
+    "--backtrack": "backtrack_factor",
+    "--armijo": "armijo_c",
+    "--max-iter": "max_iter",
+    "--grad-tol": "grad_tol",
+}
 
 _SWEEP_TARGET = re.compile(r"^(A_K|B_K|C_K)(?:\[(\d+),(\d+)\])?$")
 
@@ -66,12 +87,6 @@ def _controller_wire(controller):
     }
 
 
-def _solver_config(tol):
-    if tol is None:
-        return SolverConfig()
-    return SolverConfig(tol=tol)
-
-
 def _load_controller_file(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -89,15 +104,14 @@ def _resolve_controller(problem, controller_path):
     raise SchemaError("no controller: pass --controller or add seed_controller")
 
 
-def cmd_eval(problem_file, controller_source=None, as_json=False, tol=None):
+def cmd_eval(args):
     """Evaluate the cost of one controller and print its certificates."""
-    problem = load_problem(problem_file)
-    controller = _resolve_controller(problem, controller_source)
-    cfg = _solver_config(tol)
-    report = evaluate(problem.plant, controller, problem.X, cfg)
+    problem = load_problem(args.problem)
+    controller = _resolve_controller(problem, args.controller)
+    report = evaluate(problem.plant, controller, problem.X, SolverConfig(tol=args.tol))
     rho, lam_P, lam_S = report.rho, report.lambda_min_P, report.lambda_min_Sigma
     residuals = block_lyapunov_residuals(problem.plant, controller, report)
-    if as_json:
+    if args.as_json:
         print(
             json.dumps(
                 {
@@ -119,12 +133,11 @@ def cmd_eval(problem_file, controller_source=None, as_json=False, tol=None):
     return 0
 
 
-def cmd_stationary(problem_file, as_json=False, tol=None):
+def cmd_stationary(args):
     """Construct the closed-form stationary controller and print it."""
-    problem = load_problem(problem_file)
-    cfg = _solver_config(tol)
-    cert = stationary_candidate(problem.plant, problem.X, cfg)
-    if as_json:
+    problem = load_problem(args.problem)
+    cert = stationary_candidate(problem.plant, problem.X, SolverConfig(tol=args.tol))
+    if args.as_json:
         print(
             json.dumps(
                 {
@@ -178,6 +191,8 @@ def _parse_range(spec, kind):
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise SchemaError(f"bad {kind} range '{spec}': {exc}") from exc
+    if not math.isfinite(hi - lo):  # an infinite or NaN bound, or width
+        raise SchemaError(f"{kind} range '{spec}' must have finite bounds")
     if steps < 2:
         raise SchemaError(f"{kind} steps must be at least 2")
     if not lo < hi:
@@ -213,58 +228,51 @@ def _write_lines(out_csv, lines):
             fh.write(text)
 
 
-def cmd_landscape(
-    problem_file,
-    sweep_specs=(),
-    fixes=(),
-    orbit=None,
-    out_csv=None,
-    controller_source=None,
-    tol=None,
-):
+def cmd_landscape(args):
     """Sweep controller entries (or the orbit parameter) and write CSV."""
-    problem = load_problem(problem_file)
+    problem = load_problem(args.problem)
     plant = problem.plant
-    cfg = _solver_config(tol)
-    base = _resolve_controller(problem, controller_source)
+    cfg = SolverConfig(tol=args.tol)
+    base = _resolve_controller(problem, args.controller)
     lines = ["axis1,axis2,J,stabilizing,rho"]
 
-    if orbit is not None:
-        if sweep_specs or fixes:
+    if args.orbit is not None:
+        if args.sweep or args.fix:
             raise SchemaError("--orbit cannot be combined with --sweep/--fix")
-        ts = _parse_range(orbit, "orbit")
+        ts = _parse_range(args.orbit, "orbit")
         if np.any(ts == 0.0):
-            raise SchemaError(f"orbit range '{orbit}' contains t = 0 (t*I is singular)")
+            raise SchemaError(
+                f"orbit range '{args.orbit}' contains t = 0 (t*I is singular)"
+            )
         # Similarity preserves the closed-loop spectrum, so stability and
         # rho are those of the base controller for every t.
         try:
             report = evaluate(plant, base, problem.X, cfg)
         except NotStabilizing as exc:
-            report, rho = None, exc.rho
+            J, stabilizing, rho = [None] * len(ts), False, exc.rho
         else:
-            rho = report.rho
-        for t in ts:
-            if report is not None:
-                transform = Transform.from_matrix(float(t) * np.eye(plant.n))
-                J = transformed_cost(
-                    plant, base, problem.X, transform, cfg, report=report
-                )
-            else:
-                J = None
-            lines.append(_csv_row(float(t), None, J, report is not None, rho))
-        _write_lines(out_csv, lines)
+            # H = (t I)^-1 for every t at once, solved as Transform.from_matrix
+            # solves each inverse
+            eye = np.eye(plant.n)
+            H = np.linalg.solve(
+                ts[:, None, None] * eye, np.broadcast_to(eye, (len(ts),) + eye.shape)
+            )
+            J, stabilizing, rho = g_surrogate(report, H), True, report.rho
+        for t, cost in zip(ts, J):
+            lines.append(_csv_row(t, None, cost, stabilizing, rho))
+        _write_lines(args.out, lines)
         return 0
 
-    if not sweep_specs:
+    if not args.sweep:
         raise SchemaError("landscape needs --sweep (one or two) or --orbit")
-    if len(sweep_specs) > 2:
+    if len(args.sweep) > 2:
         raise SchemaError("at most two sweep axes are supported")
     axes = []
-    for spec in sweep_specs:
+    for spec in args.sweep:
         target, rng = _parse_target(spec, "sweep", "min:max:steps")
         axes.append((target, _parse_range(rng, "sweep")))
     fixed = []
-    for spec in fixes:
+    for spec in args.fix:
         target, value = _parse_target(spec, "fix", "value")
         try:
             fixed.append((target, float(value)))
@@ -293,52 +301,53 @@ def cmd_landscape(
         axis2 = float(values[1]) if len(values) == 2 else None
         cost = J[k] if exc is None else None
         lines.append(_csv_row(float(values[0]), axis2, cost, exc is None, rho[k]))
-    _write_lines(out_csv, lines)
+    _write_lines(args.out, lines)
     return 0
 
 
-def cmd_gradcheck(
-    problem_file,
-    controller_source=None,
-    trials=20,
-    seed=0,
-    tol=GRADCHECK_DEFAULT_TOL,
-    step=1e-6,
-    as_json=False,
-):
-    """Compare analytic and finite-difference gradients; exit 5 on failure."""
-    problem = load_problem(problem_file)
+def cmd_gradcheck(args):
+    """Compare analytic and finite-difference gradients; exit 5 on failure,
+    which includes a non-finite discrepancy."""
+    if args.trials < 0:
+        raise SchemaError("--trials must not be negative")
+    problem = load_problem(args.problem)
     plant = problem.plant
     controllers = []
-    if controller_source is not None or problem.seed_controller is not None:
-        controllers.append(_resolve_controller(problem, controller_source))
-    for k in range(trials):
-        controllers.append(random_stabilizing_init(plant, seed + k))
-    worst = 0.0
+    if args.controller is not None or problem.seed_controller is not None:
+        controllers.append(_resolve_controller(problem, args.controller))
+    for k in range(args.trials):
+        controllers.append(random_stabilizing_init(plant, args.seed + k))
+    if not controllers:
+        raise SchemaError(
+            "no controller to check: pass --controller, add seed_controller "
+            "or use --trials of at least 1"
+        )
+    discrepancies = []
     for controller in controllers:
         ga = analytic_gradient(plant, controller, problem.X)
-        gf = finite_difference_gradient(plant, controller, problem.X, step=step)
+        gf = finite_difference_gradient(plant, controller, problem.X, step=args.step)
         diff = np.sqrt(
             np.sum((ga.dA_K - gf.dA_K) ** 2)
             + np.sum((ga.dB_K - gf.dB_K) ** 2)
             + np.sum((ga.dC_K - gf.dC_K) ** 2)
         )
-        worst = max(worst, float(diff) / (1.0 + ga.norm))
-    passed = worst <= tol
-    if as_json:
+        discrepancies.append(float(diff) / (1.0 + ga.norm))
+    worst = float(np.max(discrepancies))  # NaN propagates, and NaN fails
+    passed = worst <= args.tol
+    if args.as_json:
         print(
             json.dumps(
                 {
                     "max_rel_err": worst,
                     "trials": len(controllers),
-                    "tol": tol,
+                    "tol": args.tol,
                     "pass": passed,
                 }
             )
         )
     else:
         print(f"gradient check: {len(controllers)} controllers")
-        print(f"max relative discrepancy = {_fmt(worst)} (tolerance {_fmt(tol)})")
+        print(f"max relative discrepancy = {_fmt(worst)} (tolerance {_fmt(args.tol)})")
         print("PASS" if passed else "FAIL")
     return 0 if passed else 5
 
@@ -364,45 +373,25 @@ def _candidate_distance(plant, X, final, cfg):
     return cert, raw, canonical
 
 
-def cmd_descend(
-    problem_file,
-    seed=0,
-    out_csv=None,
-    as_json=False,
-    step0=None,
-    backtrack_factor=None,
-    armijo_c=None,
-    max_iter=None,
-    grad_tol=None,
-    tol=None,
-):
+def cmd_descend(args):
     """Run gradient descent, write the per-iteration CSV, report the end."""
-    problem = load_problem(problem_file)
+    problem = load_problem(args.problem)
     plant = problem.plant
-    solver_cfg = _solver_config(tol)
-    overrides = {
-        k: v
-        for k, v in {
-            "step0": step0,
-            "backtrack_factor": backtrack_factor,
-            "armijo_c": armijo_c,
-            "max_iter": max_iter,
-            "grad_tol": grad_tol,
-        }.items()
-        if v is not None
-    }
-    cfg = DescentConfig(**overrides)
+    solver_cfg = SolverConfig(tol=args.tol)
+    cfg = DescentConfig(
+        **{field: getattr(args, field) for field in _DESCENT_FLAGS.values()}
+    )
     if problem.seed_controller is not None:
         init = problem.seed_controller
     else:
-        init = random_stabilizing_init(plant, seed)
+        init = random_stabilizing_init(plant, args.seed)
     trace = descend(plant, problem.X, init, cfg, solver_cfg)
     lines = ["iter,J,grad_norm,step"]
     for k, step_rec in enumerate(trace.steps):
         lines.append(
             f"{k},{_fmt(step_rec.J)},{_fmt(step_rec.grad_norm)},{_fmt(step_rec.step)}"
         )
-    _write_lines(out_csv, lines)
+    _write_lines(args.out, lines)
     final = trace.final_controller
     try:
         cert, raw, canonical = _candidate_distance(
@@ -412,7 +401,7 @@ def cmd_descend(
     except (SingularX12, AssumptionViolated, SolverDiverged) as exc:
         distance = None
         reason = str(exc)
-    if as_json:
+    if args.as_json:
         print(
             json.dumps(
                 {
@@ -456,10 +445,12 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, controller=False, tol_help="solver tolerance"):
+    def common(
+        p, controller=False, tol=DEFAULT_CONFIG.tol, tol_help="solver tolerance"
+    ):
         p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--tol", type=float, default=None, help=tol_help)
+        p.add_argument("--tol", type=float, default=tol, help=tol_help)
         if controller:
             p.add_argument(
                 "--controller",
@@ -498,7 +489,12 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    common(p, controller=True, tol_help="pass threshold on the relative discrepancy")
+    common(
+        p,
+        controller=True,
+        tol=GRADCHECK_DEFAULT_TOL,
+        tol_help="pass threshold on the relative discrepancy",
+    )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=float, default=1e-6, help="finite-difference step")
@@ -507,13 +503,16 @@ def _build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="trace CSV path (default stdout)")
-    p.add_argument("--step0", type=float, default=None)
-    p.add_argument("--backtrack", type=float, default=None)
-    p.add_argument("--armijo", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--grad-tol", type=float, default=None)
+    for flag, field in _DESCENT_FLAGS.items():
+        default = getattr(DEFAULT_DESCENT_CONFIG, field)
+        metavar = flag[2:].upper().replace("-", "_")  # as argparse names it
+        p.add_argument(
+            flag, type=type(default), default=default, dest=field, metavar=metavar
+        )
     return parser
 
+
+_PARSER = _build_parser()
 
 # AssumptionViolated is a ValueError.
 _INPUT_ERRORS = (
@@ -526,57 +525,15 @@ _INPUT_ERRORS = (
 )
 
 
-def _dispatch(args):
-    if args.command == "eval":
-        return cmd_eval(args.problem, args.controller, args.as_json, args.tol)
-    if args.command == "stationary":
-        return cmd_stationary(args.problem, args.as_json, args.tol)
-    if args.command == "landscape":
-        return cmd_landscape(
-            args.problem,
-            sweep_specs=args.sweep,
-            fixes=args.fix,
-            orbit=args.orbit,
-            out_csv=args.out,
-            controller_source=args.controller,
-            tol=args.tol,
-        )
-    if args.command == "gradcheck":
-        tol = args.tol if args.tol is not None else GRADCHECK_DEFAULT_TOL
-        return cmd_gradcheck(
-            args.problem,
-            controller_source=args.controller,
-            trials=args.trials,
-            seed=args.seed,
-            tol=tol,
-            step=args.step,
-            as_json=args.as_json,
-        )
-    if args.command == "descend":
-        return cmd_descend(
-            args.problem,
-            seed=args.seed,
-            out_csv=args.out,
-            as_json=args.as_json,
-            step0=args.step0,
-            backtrack_factor=args.backtrack,
-            armijo_c=args.armijo,
-            max_iter=args.max_iter,
-            grad_tol=args.grad_tol,
-            tol=args.tol,
-        )
-    raise SchemaError(f"unknown command {args.command}")
-
-
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; the exit-code contract reserves
         # 2 for stability failures and 3 for input errors.
         return 0 if exc.code == 0 else 3
     try:
-        return _dispatch(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (NotStabilizing, NotObservable, Unstable) as exc:
         print(f"dlqr: not stabilizing: {exc}", file=sys.stderr)
         return 2

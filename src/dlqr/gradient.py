@@ -111,8 +111,11 @@ def finite_difference_gradient(plant, controller, X, step=1e-6, cfg=DEFAULT_CONF
     failure of the probe so decided, or running out of halvings, raises;
     errors are resolved in coordinate order, so the exception is that of
     the first coordinate that fails. The result is bit-identical to
-    evaluating the probes one by one.
+    evaluating the probes one by one. A step that is not positive and
+    finite raises ValueError.
     """
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
     evaluate(plant, controller, X, cfg)  # fail fast at the base point
     X = as_second_moment(X, plant.n).X
     theta = controller_to_vector(controller)

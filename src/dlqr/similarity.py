@@ -77,17 +77,20 @@ def g_surrogate(report, H):
 
     Equals evaluate(plant, apply(controller, T), X).J without re-solving
     any Lyapunov equation, because the transformed Lyapunov pair is a
-    congruence of the base pair."""
+    congruence of the base pair. A stack of H, shape (N, n, n), gives the N
+    costs as an array, each computed as for its slice alone."""
     P11, P12, P22 = report.P11, report.P12, report.P22
     n = report.n
     X11 = report.X[:n, :n]
     X12 = report.X[:n, n:]
     X22 = report.X[n:, n:]
-    return float(
+    H = np.asarray(H)
+    J = (
         np.trace(P11 @ X11)
-        + 2.0 * np.trace(P12 @ H @ X12.T)
-        + np.trace(P22 @ H @ X22 @ H.T)
+        + 2.0 * np.trace(P12 @ H @ X12.T, axis1=-2, axis2=-1)
+        + np.trace(P22 @ H @ X22 @ np.swapaxes(H, -1, -2), axis1=-2, axis2=-1)
     )
+    return float(J) if H.ndim == 2 else J
 
 
 def g_gradient(report, H):

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from dlqr import cli
 from dlqr.cli import main
 
 from conftest import problem_dict, wire
-from oracles import random_plant_arrays
+from oracles import random_pd_second_moment, random_plant_arrays
 
 
 def read_csv(path):
@@ -77,11 +79,17 @@ def test_eval_input_errors_exit_3(tmp_path):
     assert main(["eval", "--problem", str(tmp_path / "missing.json")]) == 3
 
 
-def test_usage_errors_exit_3():
+def test_usage_errors_exit_3(capsys):
     assert main([]) == 3
     assert main(["eval"]) == 3
     assert main(["no-such-command"]) == 3
+    assert main(["descend", "--problem", "p.json", "--backtrack"]) == 3  # no value
+    assert main(["gradcheck", "--problem", "p.json", "--trials", "1.5"]) == 3
     assert main(["--help"]) == 0
+    for command in ("eval", "stationary", "landscape", "gradcheck", "descend"):
+        capsys.readouterr()
+        assert main([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: dlqr {command} ")
 
 
 def test_stationary_human_output(ex1_problem_file, capsys):
@@ -422,3 +430,162 @@ def test_descend_cli_iteration_budget_flag(ex1_problem_file, capsys):
         main(["descend", "--problem", ex1_problem_file, "--max-iter", "1"]) == 0
     )
     assert "status     = max_iter" in capsys.readouterr().out
+
+
+def bare_problem_file(tmp_path):
+    from conftest import EX1, CROSS_X
+
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(problem_dict(EX1, CROSS_X)))
+    return str(path)
+
+
+@pytest.mark.parametrize("step", ["0", "-1e-6", "nan", "inf"])
+def test_gradcheck_rejects_a_step_that_is_not_positive_and_finite(
+    tmp_path, capsys, step
+):
+    # without the check, step 0 gives NaN differences that used to PASS
+    argv = ["gradcheck", "--problem", bare_problem_file(tmp_path), "--trials", "1",
+            f"--step={step}"]
+    assert main(argv) == 3
+    assert "step must be positive and finite" in capsys.readouterr().err
+
+
+def test_gradcheck_rejects_negative_trials(ex1_problem_file, capsys):
+    assert main(["gradcheck", "--problem", ex1_problem_file, "--trials", "-3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "dlqr: input error: --trials must not be negative\n"
+    assert "PASS" not in captured.out
+
+
+def test_gradcheck_rejects_an_empty_controller_list(tmp_path, capsys):
+    assert main(["gradcheck", "--problem", bare_problem_file(tmp_path), "--trials", "0"]) == 3
+    captured = capsys.readouterr()
+    assert "no controller to check" in captured.err
+    assert "PASS" not in captured.out
+
+
+def test_gradcheck_fails_on_a_nan_discrepancy(ex1_problem_file, capsys, monkeypatch):
+    true_gradient = cli.analytic_gradient
+
+    def nan_gradient(plant, controller, X, *args, **kwargs):
+        g = true_gradient(plant, controller, X, *args, **kwargs)
+        return dlqr.GradientTriple(dA_K=np.full_like(g.dA_K, np.nan), dB_K=g.dB_K, dC_K=g.dC_K)
+
+    monkeypatch.setattr(cli, "analytic_gradient", nan_gradient)
+    assert main(["gradcheck", "--problem", ex1_problem_file, "--trials", "1"]) == 5
+    out = capsys.readouterr().out
+    assert "max relative discrepancy = nan" in out
+    assert out.endswith("FAIL\n")
+
+
+@pytest.mark.parametrize(
+    "flag, spec",
+    [
+        ("--sweep", "C_K=-inf:0:3"),
+        ("--sweep", "C_K=0:nan:3"),
+        ("--orbit", "0.5:inf:3"),
+        ("--orbit", "-1.7e308:1.7e308:3"),  # finite bounds, infinite width
+    ],
+)
+def test_landscape_rejects_non_finite_ranges(ex1_problem_file, tmp_path, capsys, flag, spec):
+    out = tmp_path / "x.csv"
+    argv = ["landscape", "--problem", ex1_problem_file, f"{flag}={spec}", "--out", str(out)]
+    rng = spec.split("=")[-1]
+    kind = flag[2:]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert err == f"dlqr: input error: {kind} range '{rng}' must have finite bounds\n"
+    assert not out.exists()
+
+
+def orbit_oracle(plant, controller, X, ts):
+    """Orbit CSV text with one Transform and one transformed_cost per t."""
+    lines = ["axis1,axis2,J,stabilizing,rho"]
+    for t in ts:
+        try:
+            report = dlqr.evaluate(plant, controller, X)
+            transform = dlqr.Transform.from_matrix(t * np.eye(plant.n))
+            J = f"{dlqr.transformed_cost(plant, controller, X, transform, report=report):.17g}"
+            stable, rho = 1, report.rho
+        except dlqr.NotStabilizing as exc:
+            J, stable, rho = "", 0, exc.rho
+        lines.append(f"{t:.17g},,{J},{stable},{rho:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("orbit", ["0.3:8:51", "-3:-0.2:29", "-2:5:9"])
+def test_landscape_orbit_bytes_match_per_t_transformed_cost(
+    ex1_problem_file, ex1_plant, rounded_k1, cross_X, tmp_path, orbit
+):
+    out = tmp_path / "orbit.csv"
+    assert main(["landscape", "--problem", ex1_problem_file, f"--orbit={orbit}",
+                 "--out", str(out)]) == 0
+    lo, hi, steps = orbit.split(":")
+    ts = np.linspace(float(lo), float(hi), int(steps))
+    assert out.read_bytes() == orbit_oracle(ex1_plant, rounded_k1, cross_X, ts).encode()
+
+
+def test_landscape_orbit_bytes_match_per_t_transformed_cost_order_three(tmp_path):
+    rng = np.random.default_rng(5)
+    mats = random_plant_arrays(rng, 3, 1, 1)
+    plant = dlqr.Plant(**mats)
+    X = random_pd_second_moment(rng, 3)
+    out = tmp_path / "orbit.csv"
+    ts = np.linspace(-4, 6, 37)
+    stable = dlqr.random_stabilizing_init(plant, 0)
+    unstable = dlqr.Controller(A_K=2 * np.eye(3), B_K=np.ones((3, 1)), C_K=np.ones((1, 3)))
+    for controller, stabilizing in ((stable, "1"), (unstable, "0")):
+        path = tmp_path / "order3.json"
+        path.write_text(json.dumps(problem_dict(mats, X, seed_controller=controller)))
+        assert main(["landscape", "--problem", str(path), "--orbit=-4:6:37",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == orbit_oracle(plant, controller, X, ts).encode()
+        assert {row["stabilizing"] for row in read_csv(out)} == {stabilizing}
+
+
+def test_main_builds_no_parser(ex1_problem_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["eval", "--problem", ex1_problem_file]) == 0
+    assert main(["landscape", "--problem", ex1_problem_file, "--orbit", "1:2:3"]) == 0
+    assert main(["landscape", "--help"]) == 0
+    assert main(["eval"]) == 3
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (["landscape", "--sweep", "C_K=-0.4:-0.1:7", "--fix", "A_K=0.1", "--fix", "B_K=4"],
+         ["landscape", "--sweep", "C_K=-0.4:-0.1:7"]),
+        (["descend", "--max-iter", "20", "--step0", "1e3"], ["descend", "--max-iter", "20"]),
+    ],
+)
+def test_repeated_main_calls_carry_no_state(ex1_problem_file, capsys, a, b):
+    def run(argv):
+        assert main(argv[:1] + ["--problem", ex1_problem_file] + argv[1:]) == 0
+        return capsys.readouterr().out
+
+    b_first = run(b)
+    a_first = run(a)
+    assert run(b) == b_first
+    assert run(a) == a_first
+    assert a_first != b_first
+
+
+def test_descend_help_keeps_flag_spellings(capsys):
+    assert main(["descend", "--help"]) == 0
+    out = capsys.readouterr().out
+    for flag in ("--step0 STEP0", "--backtrack BACKTRACK", "--armijo ARMIJO",
+                 "--max-iter MAX_ITER", "--grad-tol GRAD_TOL", "--tol TOL"):
+        assert flag in out

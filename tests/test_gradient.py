@@ -128,6 +128,14 @@ def test_finite_differences_reject_nonstabilizing_base(ex1_plant, cross_X):
         )
 
 
+@pytest.mark.parametrize("step", [0.0, -1e-6, np.nan, np.inf])
+def test_finite_differences_reject_a_step_that_is_not_positive_and_finite(
+    ex1_plant, rounded_k1, cross_X, step
+):
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X, step=step)
+
+
 def assert_same_gradient(ga, gb):
     for a, b in zip((ga.dA_K, ga.dB_K, ga.dC_K), (gb.dA_K, gb.dB_K, gb.dC_K)):
         assert a.shape == b.shape

@@ -82,6 +82,20 @@ def test_g_surrogate_at_identity_recovers_cost(ex1_plant, rounded_k1, cross_X):
     assert dlqr.g_surrogate(report, np.eye(1)) == pytest.approx(report.J, rel=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_g_surrogate_over_a_stack_equals_each_slice(n):
+    rng = np.random.default_rng(50 + n)
+    plant = dlqr.Plant(**random_plant_arrays(rng, n, 1, 1))
+    controller = dlqr.random_stabilizing_init(plant, 0)
+    report = dlqr.evaluate(plant, controller, np.eye(2 * n) + 0.1)
+    H = rng.normal(size=(7, n, n))
+    J = dlqr.g_surrogate(report, H)
+    assert J.shape == (7,)
+    singles = [dlqr.g_surrogate(report, Hk) for Hk in H]
+    assert all(type(Jk) is float for Jk in singles)
+    assert J.tolist() == singles
+
+
 def test_g_gradient_matches_finite_differences(ex1_plant, rounded_k1, cross_X):
     report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
     rng = np.random.default_rng(47)
