@@ -42,7 +42,6 @@ from .errors import (
     SingularTransform,
     SingularX12,
     SolverDiverged,
-    Unstable,
 )
 from .gradient import analytic_gradient, finite_difference_gradient
 from .matops import DEFAULT_CONFIG, SolverConfig
@@ -534,7 +533,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 3
     try:
         return globals()[f"cmd_{args.command}"](args)
-    except (NotStabilizing, NotObservable, Unstable) as exc:
+    except (NotStabilizing, NotObservable) as exc:
         print(f"dlqr: not stabilizing: {exc}", file=sys.stderr)
         return 2
     except _INPUT_ERRORS as exc:

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import NotStabilizing, SolverDiverged
 from .matops import (
     DEFAULT_CONFIG,
+    STABILITY_MARGIN,
     _below_psd_floor,
     _min_eig,
     _route_bytes,
@@ -144,7 +145,7 @@ def _certified_pair(A_cl, W_cl, X, cfg):
             continue
         if k in sigma_errors:
             errors[k] = sigma_errors[k]
-        elif abs(J_v - J_c) > TRACE_MATCH_RTOL * (1.0 + abs(J_v)):
+        elif not abs(J_v - J_c) <= TRACE_MATCH_RTOL * (1.0 + abs(J_v)):
             errors[k] = SolverDiverged(f"trace forms disagree: {J_v} vs {J_c}")
         elif _below_psd_floor(lam_p, norm_p):
             errors[k] = SolverDiverged("P is not positive semidefinite")
@@ -158,15 +159,15 @@ def _closed_loop_pass(plant, gains, X, cfg):
 
     gains is a _Gains stack and X the (2n, 2n) second-moment array. Each
     slice's loop is screened by its spectral radius against
-    1 - cfg.stability_margin; the stable slices' Lyapunov pairs are solved
-    by the route of their size and checked by the residual certificate,
-    the trace match and the PSD floors. A slice's results are bit-identical
-    to evaluating it alone, and a failure is reported per slice, never
-    raised. Returns _Slices.
+    1 - STABILITY_MARGIN; the stable slices' Lyapunov pairs are solved by
+    the route of their size and checked by the residual certificate, the
+    trace match and the PSD floors, each of which a NaN fails. A slice's
+    results are bit-identical to evaluating it alone, and a failure is
+    reported per slice, never raised. Returns _Slices.
     """
     loop = assemble(plant, gains)
     rho = _spectral_radii(loop.A_cl)
-    threshold = 1.0 - cfg.stability_margin
+    threshold = 1.0 - STABILITY_MARGIN
     errors = {
         k: NotStabilizing(f"closed-loop spectral radius {r} >= 1", rho=r)
         for k, r in enumerate(rho.tolist())
@@ -221,7 +222,8 @@ def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
     NotStabilizing
         If the closed loop is not stable (the cost is infinite).
     SolverDiverged
-        If a Lyapunov solve fails or the two trace forms disagree.
+        If a Lyapunov solve fails or is not finite, the two trace forms
+        disagree, or P or Sigma is not PSD.
     """
     X = as_second_moment(X, plant.n)
     gains = _Gains(controller.A_K[None], controller.B_K[None], controller.C_K[None])

@@ -25,6 +25,7 @@ jump is skipped, keeping the candidate, when the transform does not exist
 (X12 or P12 singular, an unobservable candidate) or the jumped controller
 fails its certificates."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,16 +83,19 @@ BB_STEP_MAX = 1e8
 # iteration stalls with the gradient well above any useful tolerance.
 NOISE_SLACK = 64.0 * np.finfo(float).eps
 
-# Rejection-sampling budget for random initialization, and the number of
-# rejected samples after which the perturbation scale is halved.
+# Rejection-sampling budget for random initialization, the number of
+# rejected samples after which the perturbation scale is halved, and the
+# scale the sampling starts from.
 MAX_INIT_ATTEMPTS = 1000
 INIT_HALVE_EVERY = 100
+INIT_NOISE_SCALE = 0.5
 
 
 @dataclass(frozen=True)
 class DescentConfig:
     """Line-search parameters: initial step, backtracking factor, Armijo
-    constant, iteration budget, and gradient-norm stopping tolerance."""
+    constant, iteration budget, and gradient-norm stopping tolerance.
+    step0 and grad_tol must be positive and finite."""
 
     step0: float = 1e-2
     backtrack_factor: float = 0.5
@@ -100,16 +104,16 @@ class DescentConfig:
     grad_tol: float = 1e-8
 
     def __post_init__(self):
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
+        for name in ("step0", "grad_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.armijo_c < 1.0:
             raise ValueError("armijo_c must lie in (0, 1)")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.grad_tol > 0:
-            raise ValueError("grad_tol must be positive")
 
 
 DEFAULT_DESCENT_CONFIG = DescentConfig()
@@ -214,7 +218,8 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
         Must stabilize the plant.
     cfg : DescentConfig
     solver_cfg : SolverConfig
-        Tolerances for the inner Lyapunov solves and stability margin.
+        Certificate tolerance of the inner Lyapunov solves; the stability
+        test is evaluate's, rho < 1 - matops.STABILITY_MARGIN.
 
     Returns
     -------
@@ -306,18 +311,18 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
     return DescentTrace(steps=tuple(steps), status=status)
 
 
-def random_stabilizing_init(plant, seed, noise_scale=0.5):
+def random_stabilizing_init(plant, seed):
     """Random stabilizing observable controller, deterministic in seed.
 
     Perturbs the observer-based gains (state feedback from the control
     Riccati solution, observer gain from the filter Riccati solution with
     unit process noise) entrywise by scale * U(-1, 1) * (1 + |gain|),
     rejection-resampling until the closed loop is stable and the
-    realization observable. The scale starts at noise_scale and is halved
-    after every INIT_HALVE_EVERY rejected samples, so plants whose
-    stabilizing set is narrow around the observer-based gains (many
-    inputs and outputs) still initialize, while the first INIT_HALVE_EVERY
-    samples are the draws of a fixed scale.
+    realization observable. The scale starts at INIT_NOISE_SCALE and is
+    halved after every INIT_HALVE_EVERY rejected samples, so plants whose
+    stabilizing set is narrow around the observer-based gains (many inputs
+    and outputs) still initialize, while the first INIT_HALVE_EVERY samples
+    are the draws of a fixed scale.
 
     Raises
     ------
@@ -330,7 +335,7 @@ def random_stabilizing_init(plant, seed, noise_scale=0.5):
     Sigma_hat = solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
     L0 = filter_gain(plant.A, plant.C, Sigma_hat)
     for attempt in range(MAX_INIT_ATTEMPTS):
-        scale = noise_scale * 0.5 ** (attempt // INIT_HALVE_EVERY)
+        scale = INIT_NOISE_SCALE * 0.5 ** (attempt // INIT_HALVE_EVERY)
         K = K0 + scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))
         L = L0 + scale * rng.uniform(-1.0, 1.0, L0.shape) * (1.0 + np.abs(L0))
         candidate = observer_based(plant, K, L)

@@ -13,10 +13,6 @@ class DimensionMismatch(DlqrError):
     """Operand dimensions are inconsistent."""
 
 
-class Unstable(DlqrError):
-    """Spectral radius at or above the stability margin."""
-
-
 class SolverDiverged(DlqrError):
     """An iterative solver exhausted its budget or failed its residual check."""
 

@@ -42,13 +42,28 @@ class GradientTriple:
         return Controller(A_K=self.dA_K, B_K=self.dB_K, C_K=self.dC_K)
 
 
-def gradient_from_report(plant, controller, report):
-    """Assemble the gradient from an existing cost report.
+def analytic_gradient(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
+    """Exact gradient of J at a stabilizing controller.
 
-    The formulas are linear in the blocks of (P, Sigma), so reusing a
-    report costs no extra Lyapunov solves. The report must belong to this
-    (plant, controller) pair; no consistency check is performed here.
+    Parameters
+    ----------
+    report : CostReport, optional
+        Reuse an already computed cost report for this point instead of
+        solving the Lyapunov pair again. The formulas are linear in the
+        blocks of (P, Sigma), so reuse costs no Lyapunov solve; the report
+        must belong to this (plant, controller) pair, which is not checked.
+
+    Returns
+    -------
+    GradientTriple
+
+    Raises
+    ------
+    NotStabilizing
+        If the controller does not stabilize the plant.
     """
+    if report is None:
+        report = evaluate(plant, controller, X, cfg)
     A, B, C = plant.A, plant.B, plant.C
     R = plant.R
     A_K, B_K, C_K = controller.A_K, controller.B_K, controller.C_K
@@ -64,29 +79,6 @@ def gradient_from_report(plant, controller, report):
     dB_K = 2.0 * closed12 @ S11 @ C.T + 2.0 * closed22 @ S12.T @ C.T
     dA_K = 2.0 * closed22 @ S22 + 2.0 * closed12 @ S12
     return GradientTriple(dA_K=dA_K, dB_K=dB_K, dC_K=dC_K)
-
-
-def analytic_gradient(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
-    """Exact gradient of J at a stabilizing controller.
-
-    Parameters
-    ----------
-    report : CostReport, optional
-        Reuse an already computed cost report for this point instead of
-        solving the Lyapunov pair again.
-
-    Returns
-    -------
-    GradientTriple
-
-    Raises
-    ------
-    NotStabilizing
-        If the controller does not stabilize the plant.
-    """
-    if report is None:
-        report = evaluate(plant, controller, X, cfg)
-    return gradient_from_report(plant, controller, report)
 
 
 def _coordinate_name(controller, c):
@@ -163,8 +155,3 @@ def finite_difference_gradient(plant, controller, X, step=1e-6, cfg=DEFAULT_CONF
         block.reshape(shape) for block, shape in zip(np.split(grad, splits), shapes)
     )
     return GradientTriple(dA_K=dA_K, dB_K=dB_K, dC_K=dC_K)
-
-
-def stationarity_residual(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
-    """Norm of the analytic gradient; zero exactly at stationary points."""
-    return analytic_gradient(plant, controller, X, cfg, report=report).norm

@@ -2,18 +2,21 @@
 spectral radius, and Kalman rank tests.
 
 All routines work on plain numpy arrays and are pure functions of their
-inputs. Problems here are desk-scale, so the Lyapunov solvers favour an
-exact dense solve (Kronecker vectorization) for small closed loops and
-fall back to a squaring iteration for larger ones.
+inputs. Problems here are desk-scale, so the Lyapunov equation is solved
+by an exact dense solve (Kronecker vectorization) for small closed loops
+and by a squaring iteration for larger ones. Both routes are private:
+_solve_dlyap_certified, which the cost module's closed-loop pass calls,
+picks one by size and certifies its solutions.
 
-Each Lyapunov route has one implementation, over a stack of N matrices of
-one size; the public 2-d solvers are its N = 1 calls. Every stacked step
-is the same per-slice numpy or LAPACK operation as its 2-d form, so a
-slice's result is bit-identical to solving it alone. Per-slice decisions
-(stop rules, certificates) compare Python floats: on the few slices of a
-stack that is cheaper than numpy's per-call cost on short arrays.
+Each Lyapunov route works on a stack of N matrices of one size. Every
+stacked step is the same per-slice numpy or LAPACK operation as its 2-d
+form, so a slice's result is bit-identical to solving it alone. Per-slice
+decisions (stop rules, certificates) compare Python floats, which on the
+few slices of a stack is cheaper than numpy's per-call cost. Each
+certificate passes only on `value <= bound`, which a NaN fails.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +27,6 @@ from .errors import (
     NonSquare,
     SingularInnovation,
     SolverDiverged,
-    Unstable,
 )
 
 # Closed-loop dimension at or below which the Lyapunov solve is a direct
@@ -40,31 +42,30 @@ SINGULAR_RTOL = 1e-10
 # negative eigenvalue, up to PSD_RTOL * (1 + ||M||_F) is accepted.
 PSD_RTOL = 1e-9
 
+# Iteration budget of the doubling Lyapunov route and of the Riccati loop.
+MAX_ITER = 100_000
+
+# The epsilon of the one stability test rho < 1 - STABILITY_MARGIN, applied
+# by evaluate's spectral screen and by model.is_stabilizing alike.
+STABILITY_MARGIN = 1e-9
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Shared tolerances for the iterative solvers.
-
-    tol is the relative tolerance of every solver certificate: a Riccati
+    """Relative tolerance tol of every solver certificate: a Riccati
     iteration stops once successive iterates differ by at most
     tol * (1 + ||P||_F), a Lyapunov solution must leave a residual of at
     most tol * (1 + ||P||_F), and the doubling iteration stops once its
-    increment is at most half that. max_iter caps the iteration count,
-    and stability_margin is the epsilon in the stability test
-    rho < 1 - epsilon.
+    increment is at most half that. tol must be positive and finite. The
+    iteration budget and the stability margin are the module constants
+    MAX_ITER and STABILITY_MARGIN.
     """
 
     tol: float = 1e-12
-    max_iter: int = 100_000
-    stability_margin: float = 1e-9
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        if not 0 <= self.stability_margin < 1:
-            raise ValueError("stability_margin must lie in [0, 1)")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -110,9 +111,9 @@ def _min_eig(M):
 
 
 def _below_psd_floor(lam, norm):
-    """Whether each smallest eigenvalue lam of a stack of matrices with
-    Frobenius norms norm falls below the PSD rounding floor."""
-    return lam < -PSD_RTOL * (1.0 + norm)
+    """Whether the smallest eigenvalue lam of a matrix with Frobenius norm
+    norm falls below the PSD rounding floor; a NaN does."""
+    return not lam >= -PSD_RTOL * (1.0 + norm)
 
 
 def _check_psd(M, name, error=AssumptionViolated, definite=False):
@@ -121,7 +122,7 @@ def _check_psd(M, name, error=AssumptionViolated, definite=False):
     set, that the eigenvalue is positive. A failed check raises error."""
     lam = float(_min_eig(M))
     if definite:
-        if lam <= 0.0:
+        if not lam > 0.0:
             raise error(f"{name} is not positive definite")
     elif _below_psd_floor(lam, np.linalg.norm(M)):
         raise error(f"{name} is not positive semidefinite")
@@ -175,11 +176,26 @@ def _kron_route(A, W):
     # same single product as np.kron's, so the matrix is bit-identical and
     # far cheaper.
     kron = (At[:, :, None, :, None] * At[:, None, :, None, :]).reshape(N, n * n, n * n)
-    P = np.linalg.solve(np.eye(n * n) - kron, W.reshape(-1, n * n, 1))
+    lhs, rhs = np.eye(n * n) - kron, W.reshape(-1, n * n, 1)
+    try:
+        P = np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        # A slice whose system overflowed fails the whole stacked solve.
+        # Solved one by one, it alone fails, as NaN, which the residual
+        # certificate rejects.
+        rhs = np.broadcast_to(rhs, (N, n * n, 1))
+        P = np.stack([_solve_or_nan(a, b) for a, b in zip(lhs, rhs)])
     return _symmetrize(P.reshape(N, n, n))
 
 
-_UNCONVERGED = "doubling Lyapunov iteration exhausted max_iter"
+def _solve_or_nan(a, b):
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.full(b.shape, np.nan)
+
+
+_UNCONVERGED = "doubling Lyapunov iteration exhausted MAX_ITER"
 
 
 def _doubling_route(A, W, cfg):
@@ -188,17 +204,19 @@ def _doubling_route(A, W, cfg):
 
     Each slice accumulates partial sums of its series sum_k (A^T)^k W A^k
     while squaring A, and stops on its own rule: a converged slice leaves
-    the stack, so none iterates past its stop. Returns the solutions and
-    the indices of the slices that exhausted cfg.max_iter."""
+    the stack, so none iterates past its stop. A slice whose increment is
+    not finite stops too: its P stays non-finite from then on, and the
+    residual certificate rejects it. Returns the solutions and the indices
+    of the slices that exhausted MAX_ITER."""
     P, M = W.copy(), A.copy()
     out = np.empty(A.shape)
     live = np.arange(len(A))
     half_tol = 0.5 * cfg.tol
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         increment = M.swapaxes(-1, -2) @ P @ M
         P = _symmetrize(P + increment)
         done = [
-            d <= half_tol * (1.0 + p)
+            not d > half_tol * (1.0 + p)
             for d, p in zip(_fro(increment).tolist(), _fro(P).tolist())
         ]
         if all(done):
@@ -213,38 +231,16 @@ def _doubling_route(A, W, cfg):
     return out, live
 
 
-def dlyap_kron(A, W):
-    """Solve P = W + A^T P A by a direct Kronecker linear solve.
-
-    Vectorizing row-major, vec(A^T P A) = kron(A^T, A^T) vec(P), so P is
-    the solution of (I - kron(A^T, A^T)) vec(P) = vec(W). Exact up to the
-    conditioning of the dense solve; intended for small dimensions.
-    """
-    A = _as_matrix(A, "A", square=True)
-    W = _as_matrix(W, "W", square=True)
-    return _kron_route(A[None], W[None])[0]
-
-
-def dlyap_doubling(A, W, cfg=DEFAULT_CONFIG):
-    """Solve P = W + A^T P A by the squaring (doubling) iteration.
-
-    Accumulates partial sums of the series sum_k (A^T)^k W A^k while
-    squaring A, doubling the number of series terms per pass.
-    """
-    A = _as_matrix(A, "A", square=True)
-    W = _as_matrix(W, "W", square=True)
-    P, unconverged = _doubling_route(A[None], W[None], cfg)
-    if len(unconverged):
-        raise SolverDiverged(_UNCONVERGED)
-    return P[0]
-
-
 def _solve_dlyap_certified(A, W, cfg):
-    """Route and residual certificate of solve_dlyap_dual over a stack:
-    A (N, m, m) validated and known to be stable, W symmetric, (N, m, m)
-    or one (m, m) weight for every slice. Returns the solutions, a list of
-    their Frobenius norms and a dict from slice index to the SolverDiverged
-    of each slice that failed."""
+    """Solutions of P = W + A^T P A over a stack, by the route of their
+    size, each with its residual certificate
+    ||P - W - A^T P A||_F <= tol * (1 + ||P||_F).
+
+    A is (N, m, m), validated and known to be stable; W is symmetric,
+    (N, m, m) or one (m, m) weight for every slice. Returns the solutions,
+    a list of their Frobenius norms and a dict from slice index to the
+    SolverDiverged of each slice that failed: the doubling budget ran out,
+    the solution is not finite, or the certificate fails."""
     if A.shape[-1] <= KRON_DIM_LIMIT:
         P, unconverged = _kron_route(A, W), ()
     else:
@@ -253,50 +249,14 @@ def _solve_dlyap_certified(A, W, cfg):
     residuals = _fro(P - W - A.swapaxes(-1, -2) @ P @ A).tolist()
     norms = _fro(P).tolist()
     for k, (residual, norm) in enumerate(zip(residuals, norms)):
-        if residual > cfg.tol * (1.0 + norm):
-            errors.setdefault(
-                k, SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
-            )
+        if residual <= cfg.tol * (1.0 + norm) and norm < math.inf:
+            continue
+        if math.isfinite(norm):
+            exc = SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
+        else:
+            exc = SolverDiverged(f"Lyapunov solution is not finite: norm {norm}")
+        errors.setdefault(k, exc)
     return P, norms, errors
-
-
-def solve_dlyap_dual(A, W, cfg=DEFAULT_CONFIG):
-    """Unique PSD solution of the dual Lyapunov equation P = W + A^T P A.
-
-    Parameters
-    ----------
-    A : (n, n) array_like
-        Stable matrix: spectral_radius(A) < 1 - cfg.stability_margin.
-    W : (n, n) array_like
-        Symmetric PSD weight.
-    cfg : SolverConfig
-
-    Returns
-    -------
-    (n, n) ndarray
-        Symmetric P with residual ||P - W - A^T P A||_F <= tol * (1 + ||P||_F).
-
-    Raises
-    ------
-    Unstable
-        If rho(A) >= 1 - stability_margin (no summable solution).
-    SolverDiverged
-        If the residual certificate cannot be met.
-    """
-    A = _as_matrix(A, "A", square=True)
-    W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
-    rho = spectral_radius(A)
-    if rho >= 1.0 - cfg.stability_margin:
-        raise Unstable(f"rho(A) = {rho} is not inside the stability margin")
-    P, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
-    if errors:
-        raise errors.pop(0)
-    return P[0]
-
-
-def solve_dlyap_primal(A, W, cfg=DEFAULT_CONFIG):
-    """Unique PSD solution of Sigma = W + A Sigma A^T (transposed recursion)."""
-    return solve_dlyap_dual(np.asarray(A, dtype=float).T, W, cfg)
 
 
 def lqr_gain(A, B, R, P):
@@ -316,7 +276,7 @@ def _solve_dare(A, B, Q, R, cfg, equation):
     """Fixed-point iteration of the control Riccati equation on validated
     data, with the stabilizing-gain check; equation names it in errors."""
     P = Q.copy()
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         gain = lqr_gain(A, B, R, P)
         P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
         # The map residual at P equals the Riccati residual, so returning
@@ -326,7 +286,7 @@ def _solve_dare(A, B, Q, R, cfg, equation):
                 raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
             return P
         P = P_next
-    raise SolverDiverged(f"{equation} Riccati iteration exhausted max_iter")
+    raise SolverDiverged(f"{equation} Riccati iteration exhausted MAX_ITER")
 
 
 def solve_dare_control(A, B, Q, R, cfg=DEFAULT_CONFIG):
@@ -413,16 +373,6 @@ def psd_sqrt(M):
     return V @ np.diag(np.sqrt(w)) @ V.T
 
 
-def controllability_matrix(A, B):
-    """Kalman controllability matrix [B, AB, ..., A^{n-1}B]."""
-    A = _as_matrix(A, "A", square=True)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return np.hstack(blocks)
-
-
 def has_full_row_rank(M):
     """Numerical full-row-rank test: at most as many rows as columns, and
     not singular by the singular-value rule."""
@@ -430,8 +380,14 @@ def has_full_row_rank(M):
 
 
 def is_controllable(A, B):
-    """Kalman rank test for controllability of (A, B)."""
-    return has_full_row_rank(controllability_matrix(A, B))
+    """Kalman rank test for controllability of (A, B): the controllability
+    matrix [B, AB, ..., A^{n-1}B] has full row rank."""
+    A = _as_matrix(A, "A", square=True)
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    blocks = [B]
+    for _ in range(A.shape[0] - 1):
+        blocks.append(A @ blocks[-1])
+    return has_full_row_rank(np.hstack(blocks))
 
 
 def is_observable(C, A):
@@ -439,20 +395,3 @@ def is_observable(C, A):
     A = _as_matrix(A, "A", square=True)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     return is_controllable(A.T, C.T)
-
-
-def rank_tests(A, B, C, Q):
-    """Kalman-rank verdicts for the plant assumptions.
-
-    Returns
-    -------
-    dict
-        controllable: (A, B) controllable;
-        observable_CA: (C, A) observable;
-        observable_QA: (Q^{1/2}, A) observable.
-    """
-    return {
-        "controllable": is_controllable(A, B),
-        "observable_CA": is_observable(C, A),
-        "observable_QA": is_observable(psd_sqrt(Q), A),
-    }

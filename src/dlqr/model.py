@@ -14,7 +14,7 @@ from .errors import (
     NotStabilizing,
     SchemaError,
 )
-from .matops import DEFAULT_CONFIG, _as_matrix, _check_psd, _check_symmetric
+from .matops import _as_matrix, _check_psd, _check_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,12 +58,11 @@ class Plant:
         _check_psd(R, "R", definite=True)
         if not matops.has_full_row_rank(C):
             raise AssumptionViolated("C must have full row rank")
-        verdicts = matops.rank_tests(A, B, C, Q)
-        if not verdicts["controllable"]:
+        if not matops.is_controllable(A, B):
             raise AssumptionViolated("(A, B) must be controllable")
-        if not verdicts["observable_CA"]:
+        if not matops.is_observable(C, A):
             raise AssumptionViolated("(C, A) must be observable")
-        if not verdicts["observable_QA"]:
+        if not matops.is_observable(matops.psd_sqrt(Q), A):
             raise AssumptionViolated("(Q^{1/2}, A) must be observable")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -165,13 +164,6 @@ class SecondMoment:
     def X22(self):
         return self.X[self.n :, self.n :]
 
-    def is_positive_definite(self):
-        try:
-            _check_psd(self.X, "X", definite=True)
-        except AssumptionViolated:
-            return False
-        return True
-
 
 def as_second_moment(X, n=None):
     """Coerce an array or SecondMoment to a SecondMoment of half-size n."""
@@ -189,10 +181,6 @@ class ClosedLoop:
 
     A_cl: np.ndarray
     W_cl: np.ndarray
-
-    @property
-    def n(self):
-        return self.A_cl.shape[-1] // 2
 
 
 def assemble(plant, controller):
@@ -227,10 +215,10 @@ def assemble(plant, controller):
 
 
 def is_stabilizing(plant, controller):
-    """True iff the closed-loop spectral radius is below 1 - margin, the
-    default SolverConfig stability margin."""
+    """True iff the closed-loop spectral radius is below
+    1 - matops.STABILITY_MARGIN, the threshold of evaluate's screen."""
     loop = assemble(plant, controller)
-    return matops.spectral_radius(loop.A_cl) < 1.0 - DEFAULT_CONFIG.stability_margin
+    return matops.spectral_radius(loop.A_cl) < 1.0 - matops.STABILITY_MARGIN
 
 
 def is_observable_controller(controller):

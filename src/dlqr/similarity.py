@@ -49,10 +49,6 @@ class Transform:
             raise SingularTransform("transform is numerically singular")
         return cls(T=T, T_inv=np.linalg.solve(T, np.eye(T.shape[0])))
 
-    @classmethod
-    def identity(cls, n):
-        return cls(T=np.eye(n), T_inv=np.eye(n))
-
     @property
     def n(self):
         return self.T.shape[0]

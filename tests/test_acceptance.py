@@ -14,6 +14,7 @@ import pytest
 
 import dlqr
 from dlqr.cli import main
+from dlqr.matops import DEFAULT_CONFIG, _doubling_route, _kron_route
 
 from conftest import EX1, EX2, CROSS_X, problem_dict
 from oracles import (
@@ -263,6 +264,15 @@ def test_criterion_07_landscape_minima(tmp_path, rounded_k1):
         assert abs(j_best - cert.J) <= 1e-5
 
 
+def _route_gap(A, W):
+    """Largest entry gap between the Kronecker and the doubling solution of
+    P = W + A^T P A."""
+    P_kron = _kron_route(A[None], W[None])[0]
+    P_doubling, unconverged = _doubling_route(A[None], W[None], DEFAULT_CONFIG)
+    assert len(unconverged) == 0
+    return float(np.max(np.abs(P_kron - P_doubling[0])))
+
+
 def test_criterion_08_cost_agrees_with_rollouts_and_both_solver_routes(
     ex1_plant, ex2_plant, rounded_k1, rounded_k2, cross_X
 ):
@@ -288,13 +298,7 @@ def test_criterion_08_cost_agrees_with_rollouts_and_both_solver_routes(
             J_roll = dlqr.rollout_cost(plant, ctrl, X, 500)
             worst_rollout = max(worst_rollout, abs(J - J_roll) / (1.0 + J))
             loop = dlqr.assemble(plant, ctrl)
-            gap = np.max(
-                np.abs(
-                    dlqr.dlyap_kron(loop.A_cl, loop.W_cl)
-                    - dlqr.dlyap_doubling(loop.A_cl, loop.W_cl)
-                )
-            )
-            worst_routes = max(worst_routes, float(gap))
+            worst_routes = max(worst_routes, _route_gap(loop.A_cl, loop.W_cl))
         # push the route comparison up to the largest direct-solve size
         for dim in (8, 12):
             rng = np.random.default_rng(800 + dim)
@@ -302,10 +306,8 @@ def test_criterion_08_cost_agrees_with_rollouts_and_both_solver_routes(
             A *= 0.9 / dlqr.spectral_radius(A)
             G = rng.normal(size=(dim, dim))
             W = G @ G.T
-            gap = np.max(
-                np.abs(dlqr.dlyap_kron(A, W) - dlqr.dlyap_doubling(A, W))
-            )
-            worst_routes = max(worst_routes, float(gap) / (1.0 + np.linalg.norm(W)))
+            gap = _route_gap(A, W)
+            worst_routes = max(worst_routes, gap / (1.0 + np.linalg.norm(W)))
         print(
             f"  {len(corpus)} controllers, worst rollout gap = {worst_rollout:.3e}, "
             f"worst route gap = {worst_routes:.3e}"

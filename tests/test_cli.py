@@ -64,6 +64,36 @@ def test_eval_not_stabilizing_exits_2(ex1_problem_file, tmp_path, capsys):
     assert "not stabilizing" in capsys.readouterr().err
 
 
+def test_eval_non_finite_lyapunov_pair_exits_5(tmp_path, capsys):
+    # a stable loop whose Lyapunov pair overflows to NaN: no "J": NaN, which
+    # is not JSON, but a check failure
+    path = tmp_path / "overflow.json"
+    plant = {"A": 0.5, "B": 1.0, "C": 1.0, "Q": 1.0, "R": 1.0}
+    controller = dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e160)
+    X = np.array([[1.0, 0.25], [0.25, 1.0]])
+    path.write_text(json.dumps(problem_dict(plant, X, controller)))
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--problem", str(path), "--json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Lyapunov solution is not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [
+        ("eval", "--tol", "tol"),
+        ("descend", "--tol", "tol"),
+        ("descend", "--step0", "step0"),
+        ("descend", "--grad-tol", "grad_tol"),
+    ],
+)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_settings_exit_3(ex1_problem_file, capsys, command, flag, field, value):
+    assert main([command, "--problem", ex1_problem_file, f"{flag}={value}"]) == 3
+    assert f"{field} must be positive and finite, got {value}" in capsys.readouterr().err
+
+
 def test_eval_without_any_controller_exits_3(tmp_path):
     from conftest import EX1, CROSS_X
 

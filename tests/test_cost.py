@@ -66,6 +66,15 @@ def test_evaluate_rejects_nonstabilizing(ex1_plant, cross_X):
         dlqr.evaluate(ex1_plant, Controller(A_K=0.0, B_K=0.0, C_K=0.0), cross_X)
 
 
+def test_evaluate_rejects_a_non_finite_lyapunov_pair(cross_X):
+    # a stable loop (rho 0.59) whose stage weight C_K^T R C_K overflows:
+    # the pair is NaN, and no certificate may pass it
+    plant = dlqr.Plant(A=0.5, B=1.0, C=1.0, Q=1.0, R=1.0)
+    controller = Controller(A_K=-0.5, B_K=1e-161, C_K=1e160)
+    with np.errstate(all="ignore"), pytest.raises(dlqr.SolverDiverged, match="not finite"):
+        dlqr.evaluate(plant, controller, cross_X)
+
+
 def test_evaluate_sigma_solves_primal_equation(ex1_plant, rounded_k1, cross_X):
     report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
     loop = dlqr.assemble(ex1_plant, rounded_k1)

@@ -22,7 +22,13 @@ def test_config_validation():
         DescentConfig(max_iter=0)
     with pytest.raises(ValueError):
         DescentConfig(grad_tol=0.0)
-    assert DescentConfig(grad_tol=float("inf")).grad_tol == float("inf")
+
+
+@pytest.mark.parametrize("field", ["step0", "grad_tol"])
+@pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
+        DescentConfig(**{field: value})
 
 
 def test_descend_stops_immediately_at_stationary_point(ex1_plant, cross_X):
@@ -35,7 +41,8 @@ def test_descend_stops_immediately_at_stationary_point(ex1_plant, cross_X):
 
 
 def test_descend_vacuous_tolerance_returns_init(ex1_plant, rounded_k1, cross_X):
-    cfg = DescentConfig(grad_tol=float("inf"))
+    # a tolerance above any gradient norm; an infinite one is rejected
+    cfg = DescentConfig(grad_tol=1e300)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, cfg)
     assert trace.status == dlqr.CONVERGED
     assert trace.iterations == 0
@@ -179,8 +186,9 @@ def test_descend_reports_stability_boundary(
     assert trace.iterations == 0
 
 
-def test_random_init_zero_noise_is_riccati_design(ex1_plant):
-    sampled = dlqr.random_stabilizing_init(ex1_plant, 12, noise_scale=0.0)
+def test_random_init_zero_noise_is_riccati_design(ex1_plant, monkeypatch):
+    monkeypatch.setattr(descent_mod, "INIT_NOISE_SCALE", 0.0)
+    sampled = dlqr.random_stabilizing_init(ex1_plant, 12)
     P = dlqr.solve_dare_control(ex1_plant.A, ex1_plant.B, ex1_plant.Q, ex1_plant.R)
     K = dlqr.lqr_gain(ex1_plant.A, ex1_plant.B, ex1_plant.R, P)
     Sigma = dlqr.solve_dare_filter(ex1_plant.A, ex1_plant.C, np.eye(1))
@@ -213,10 +221,11 @@ def test_random_init_matrix_plant():
     assert dlqr.is_stabilizing(plant, controller)
 
 
-def test_random_init_gives_up_eventually(ex1_plant):
+def test_random_init_gives_up_eventually(ex1_plant, monkeypatch):
     # absurd noise throws every sample far outside the stabilizing set
+    monkeypatch.setattr(descent_mod, "INIT_NOISE_SCALE", 1e12)
     with pytest.raises(InitFailed):
-        dlqr.random_stabilizing_init(ex1_plant, 0, noise_scale=1e12)
+        dlqr.random_stabilizing_init(ex1_plant, 0)
 
 
 def _mimo_plant(seed):

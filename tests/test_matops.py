@@ -13,9 +13,6 @@ from dlqr import (
     SolverConfig,
     SolverDiverged,
     Transform,
-    Unstable,
-    dlyap_doubling,
-    dlyap_kron,
     filter_gain,
     has_full_row_rank,
     is_controllable,
@@ -24,13 +21,18 @@ from dlqr import (
     optimal_transform,
     psd_sqrt,
     random_stabilizing_init,
-    rank_tests,
     solve_dare_control,
     solve_dare_filter,
-    solve_dlyap_dual,
-    solve_dlyap_primal,
     spectral_radius,
     stationary_candidate,
+)
+from dlqr import matops
+from dlqr.matops import (
+    DEFAULT_CONFIG,
+    KRON_DIM_LIMIT,
+    _doubling_route,
+    _kron_route,
+    _solve_dlyap_certified,
 )
 
 from oracles import (
@@ -60,33 +62,59 @@ def test_spectral_radius_requires_square():
         spectral_radius(np.ones((2, 3)))
 
 
+def _kron(A, W):
+    return _kron_route(A[None], W[None])[0]
+
+
+def _doubling(A, W):
+    P, unconverged = _doubling_route(A[None], W[None], DEFAULT_CONFIG)
+    assert len(unconverged) == 0
+    return P[0]
+
+
+def _certified(A, W, cfg=DEFAULT_CONFIG):
+    """The certified solve of one P = W + A^T P A; raises its failure."""
+    P, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
+    if errors:
+        raise errors[0]
+    return P[0]
+
+
 def test_dlyap_kron_scalar_geometric_series():
-    # scalar recursion p = w + a^2 p has the closed form w / (1 - a^2)
-    P = dlyap_kron(np.array([[0.5]]), np.array([[2.0]]))
-    assert P[0, 0] == pytest.approx(2.0 / (1.0 - 0.25), rel=1e-14)
+    # scalar recursion p = w + a^2 p has the closed form w / (1 - a^2), and
+    # the doubling route sums the same series
+    for route in (_kron, _doubling):
+        P = route(np.array([[0.5]]), np.array([[2.0]]))
+        assert P[0, 0] == pytest.approx(2.0 / (1.0 - 0.25), rel=1e-14)
 
 
 def test_dlyap_routes_agree():
     # the direct Kronecker solve and the squaring iteration are independent
-    # routes to the same fixed point and must agree tightly
+    # routes to the same fixed point and must agree tightly, on both sides
+    # of the size at which the certified solve switches between them
     rng = np.random.default_rng(7)
-    for n in (2, 4, 6, 12):
+    sizes = (2, 4, 6, KRON_DIM_LIMIT, KRON_DIM_LIMIT + 2)
+    assert min(sizes) <= KRON_DIM_LIMIT < max(sizes)
+    for n in sizes:
         A = stable_random(rng, n)
         G = rng.normal(size=(n, n))
         W = G @ G.T
-        P_kron = dlyap_kron(A, W)
-        P_doubling = dlyap_doubling(A, W)
+        P_kron = _kron(A, W)
+        P_doubling = _doubling(A, W)
         assert np.linalg.norm(P_kron - P_doubling) <= 1e-10 * (
             1.0 + np.linalg.norm(P_kron)
         )
+        route = _kron if n <= KRON_DIM_LIMIT else _doubling
+        assert _certified(A, W).tobytes() == route(A, W).tobytes()
 
 
 def test_solve_dlyap_dual_residual_and_oracle():
+    # the certified solve on a Kronecker-route size, against the oracle
     rng = np.random.default_rng(3)
     A = stable_random(rng, 3)
     G = rng.normal(size=(3, 3))
     W = G @ G.T
-    P = solve_dlyap_dual(A, W)
+    P = _certified(A, W)
     assert np.linalg.norm(P - W - A.T @ P @ A) <= 1e-12 * (1.0 + np.linalg.norm(P))
     assert_allclose(P, lyap_dual_oracle(A, W), rtol=1e-10, atol=1e-12)
 
@@ -98,29 +126,38 @@ def test_solve_dlyap_dual_large_dimension_dispatch():
     A = stable_random(rng, 14)
     G = rng.normal(size=(14, 14))
     W = G @ G.T
-    P = solve_dlyap_dual(A, W)
+    P = _certified(A, W)
     assert np.linalg.norm(P - W - A.T @ P @ A) <= 1e-12 * (1.0 + np.linalg.norm(P))
 
 
-def test_solve_dlyap_dual_rejects_unstable():
-    with pytest.raises(Unstable):
-        solve_dlyap_dual(np.array([[1.0]]), np.array([[1.0]]))
-    with pytest.raises(Unstable):
-        solve_dlyap_dual(np.array([[1.5]]), np.array([[1.0]]))
-
-
-def test_solve_dlyap_dual_rejects_asymmetric_weight():
-    with pytest.raises(ValueError):
-        solve_dlyap_dual(np.eye(2) * 0.5, np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
 def test_solve_dlyap_primal_solves_transposed_recursion():
+    # the correlation Sigma = W + A Sigma A^T is the certified solve on A^T,
+    # as evaluate computes it
     rng = np.random.default_rng(5)
     A = stable_random(rng, 3)
     G = rng.normal(size=(3, 3))
     W = G @ G.T
-    S = solve_dlyap_primal(A, W)
+    S = _certified(A.T, W)
     assert np.linalg.norm(S - W - A @ S @ A.T) <= 1e-12 * (1.0 + np.linalg.norm(S))
+
+
+def test_residual_certificate_rejects_an_inexact_solution(monkeypatch):
+    # a route whose solution misses the equation fails the certificate
+    A, W = np.array([[0.5]]), np.array([[2.0]])
+    monkeypatch.setattr(matops, "_kron_route", lambda A, W: 1.01 * _kron(A[0], W[0])[None])
+    with pytest.raises(SolverDiverged, match="Lyapunov residual"):
+        _certified(A, W)
+
+
+@pytest.mark.parametrize("m", [2, KRON_DIM_LIMIT + 2])
+def test_non_finite_lyapunov_solution_fails_the_certificate(m):
+    # a stable A whose entries overflow the series: the Kronecker route
+    # returns NaN and the doubling route inf, and both must raise
+    A = np.diag(np.full(m, 0.5))
+    A[0, 1], A[1, 0] = 1e200, 1e-201
+    assert spectral_radius(A) < 1.0
+    with np.errstate(all="ignore"), pytest.raises(SolverDiverged, match="not finite"):
+        _certified(A, np.eye(m))
 
 
 def test_solve_dare_control_scalar_closed_form():
@@ -257,19 +294,22 @@ def test_psd_sqrt_squares_back():
 
 
 def test_rank_tests_verdicts():
-    good = rank_tests(1.1, 1.0, 1.0, 5.0)
-    assert good == {
-        "controllable": True,
-        "observable_CA": True,
-        "observable_QA": True,
-    }
+    # the three Kalman tests behind Plant's assumptions, with its messages
+    assert is_controllable(1.1, 1.0)
+    assert is_observable(1.0, 1.1)
+    assert is_observable(psd_sqrt(5.0), 1.1)
     A = np.array([[2.0, 0.0], [0.0, 0.5]])
     B = np.array([[1.0], [0.0]])
     C = np.array([[1.0, 0.0]])
-    bad = rank_tests(A, B, C, np.eye(2))
-    assert bad["controllable"] is False
-    assert bad["observable_CA"] is False
-    assert bad["observable_QA"] is True
+    assert is_controllable(A, B) is False
+    assert is_observable(C, A) is False
+    assert is_observable(psd_sqrt(np.eye(2)), A) is True
+    with pytest.raises(AssumptionViolated, match=r"^\(A, B\) must be controllable$"):
+        Plant(A=A, B=B, C=C, Q=np.eye(2), R=1.0)
+    with pytest.raises(AssumptionViolated, match=r"^\(C, A\) must be observable$"):
+        Plant(A=A, B=np.eye(2), C=C, Q=np.eye(2), R=np.eye(2))
+    with pytest.raises(AssumptionViolated, match=r"^\(Q\^\{1/2\}, A\) must be observable$"):
+        Plant(A=A, B=np.eye(2), C=np.eye(2), Q=np.diag([1.0, 0.0]), R=np.eye(2))
 
 
 def test_controllability_and_observability_predicates():
@@ -286,18 +326,17 @@ def test_has_full_row_rank():
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        SolverConfig(stability_margin=1.0)
-    cfg = SolverConfig(tol=1e-10, max_iter=50, stability_margin=1e-6)
-    assert cfg.tol == 1e-10
+    for tol in (0.0, -1e-12, np.inf, np.nan):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            SolverConfig(tol=tol)
+    assert SolverConfig(tol=1e-10).tol == 1e-10
 
 
-def test_dlyap_doubling_exhausts_budget():
-    cfg = SolverConfig(tol=1e-12, max_iter=2)
+def test_dlyap_doubling_exhausts_budget(monkeypatch):
+    monkeypatch.setattr(matops, "MAX_ITER", 2)
     A = np.eye(3) * 0.999
-    with pytest.raises(SolverDiverged):
-        dlyap_doubling(A, np.eye(3), cfg)
+    _, unconverged = _doubling_route(A[None], np.eye(3)[None], DEFAULT_CONFIG)
+    assert unconverged.tolist() == [0]
+    m = KRON_DIM_LIMIT + 2
+    with pytest.raises(SolverDiverged, match="exhausted MAX_ITER"):
+        _certified(np.eye(m) * 0.999, np.eye(m))

@@ -23,8 +23,8 @@ def test_from_matrix_validates():
         Transform.from_matrix(np.zeros((2, 2)))
     with pytest.raises(NonSquare):
         Transform.from_matrix(np.ones((2, 3)))
-    eye = Transform.identity(3)
-    assert_allclose(eye.T, np.eye(3))
+    eye = Transform.from_matrix(np.eye(3))
+    assert_allclose(eye.T_inv, np.eye(3))
     assert eye.n == 3
 
 
@@ -61,7 +61,7 @@ def test_apply_round_trip():
 
 def test_apply_rejects_order_mismatch(rounded_k1):
     with pytest.raises(NonSquare):
-        dlqr.apply(rounded_k1, Transform.identity(2))
+        dlqr.apply(rounded_k1, Transform.from_matrix(np.eye(2)))
 
 
 def test_transformed_cost_equals_direct_evaluation(ex1_plant, rounded_k1, cross_X):

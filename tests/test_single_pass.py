@@ -1,7 +1,7 @@
 """evaluate is the one closed-loop pass: it assembles the loop and takes its
-spectral radius once, solves the Lyapunov pair through the same certified
-kernel as the public solvers, and callers read rho from its report or from
-the NotStabilizing it raises."""
+spectral radius once, solves the Lyapunov pair through the certified
+kernel of matops, and callers read rho from its report or from the
+NotStabilizing it raises."""
 
 import csv
 import json
@@ -14,7 +14,13 @@ from dlqr import Controller, DescentConfig, NotStabilizing
 from dlqr import cost as cost_mod
 from dlqr import descent as descent_mod
 from dlqr.cli import main
-from dlqr.matops import KRON_DIM_LIMIT
+from dlqr.matops import (
+    DEFAULT_CONFIG,
+    KRON_DIM_LIMIT,
+    _kron_route,
+    _solve_dlyap_certified,
+    _symmetrize,
+)
 
 from conftest import EX1, problem_dict
 from oracles import lyap_dual_oracle, random_pd_second_moment, random_plant_arrays
@@ -38,10 +44,15 @@ def test_evaluate_pair_is_bit_identical_to_public_solvers(n):
     plant, controller, X = _observer_based_instance(n, 0)
     report = dlqr.evaluate(plant, controller, X)
     loop = dlqr.assemble(plant, controller)
-    P = dlqr.solve_dlyap_dual(loop.A_cl, loop.W_cl)
-    Sigma = dlqr.solve_dlyap_primal(loop.A_cl, X)
-    assert report.P.tobytes() == P.tobytes()
-    assert report.Sigma.tobytes() == Sigma.tobytes()
+    # the certified kernel on the one loop: P on A_cl, Sigma on A_cl^T
+    W = _symmetrize(loop.W_cl)
+    P, _, errors = _solve_dlyap_certified(loop.A_cl[None], W[None], DEFAULT_CONFIG)
+    Sigma, _, sigma_errors = _solve_dlyap_certified(
+        loop.A_cl.T[None], X[None], DEFAULT_CONFIG
+    )
+    assert not errors and not sigma_errors
+    assert report.P.tobytes() == P[0].tobytes()
+    assert report.Sigma.tobytes() == Sigma[0].tobytes()
     assert report.rho == dlqr.spectral_radius(loop.A_cl)
 
 
@@ -148,7 +159,7 @@ def test_kron_matrix_is_bit_identical_to_np_kron(n, monkeypatch):
         return solve(a, b)
 
     monkeypatch.setattr(np.linalg, "solve", capturing)
-    P = dlqr.dlyap_kron(A, W)
+    P = _kron_route(A[None], W[None])[0]
     monkeypatch.undo()
     assert lhs[0].tobytes() == (np.eye(n * n) - np.kron(A.T, A.T)).tobytes()
     assert P.tobytes() == lyap_dual_oracle(A, W).tobytes()

@@ -153,7 +153,8 @@ def test_doubling_slices_stop_on_their_own_rule(monkeypatch):
     assert len(unconverged) == 0
     assert sizes[0] == 3 and sizes[-1] == 1 and sizes == sorted(sizes, reverse=True)
     for k in range(3):
-        assert P[k].tobytes() == dlqr.dlyap_doubling(A[k], W[k]).tobytes()
+        alone, _ = matops._doubling_route(A[k][None], W[k][None], DEFAULT_CONFIG)
+        assert P[k].tobytes() == alone[0].tobytes()
 
 
 def test_certificate_failures_keep_evaluate_order(monkeypatch):
@@ -167,3 +168,25 @@ def test_certificate_failures_keep_evaluate_order(monkeypatch):
     assert {str(out.errors[k]) for k in stable} == {"P is not positive semidefinite"}
     with pytest.raises(dlqr.SolverDiverged, match="^P is not positive semidefinite$"):
         dlqr.evaluate(plant, controller, X)
+
+
+def test_an_overflowing_slice_fails_alone():
+    # A_cl[0, 1] = 1e200 overflows kron(A_cl^T, A_cl^T), which fails the
+    # whole stacked solve; that slice alone must fail, as SolverDiverged
+    plant = dlqr.Plant(A=0.5, B=1.0, C=1.0, Q=1.0, R=1.0)
+    X = np.array([[1.0, 0.25], [0.25, 1.0]])
+    controllers = [
+        dlqr.Controller(A_K=-0.5, B_K=0.5, C_K=-0.5),
+        dlqr.Controller(A_K=0.5, B_K=1e-201, C_K=1e200),
+        dlqr.Controller(A_K=0.2, B_K=0.3, C_K=-0.4),
+    ]
+    gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
+    with np.errstate(all="ignore"):
+        out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+    assert float(out.rho[1]) < 1.0
+    assert list(out.errors) == [1]
+    assert isinstance(out.errors[1], dlqr.SolverDiverged)
+    for k in (0, 2):
+        report = dlqr.evaluate(plant, controllers[k], X)
+        assert out.P[k].tobytes() == report.P.tobytes()
+        assert float(out.J[k]) == report.J
