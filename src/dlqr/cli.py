@@ -309,6 +309,8 @@ def cmd_gradcheck(args):
     which includes a non-finite discrepancy."""
     if args.trials < 0:
         raise SchemaError("--trials must not be negative")
+    if not 0.0 <= args.tol < math.inf:
+        raise SchemaError(f"--tol must be non-negative and finite, got {args.tol}")
     problem = load_problem(args.problem)
     plant = problem.plant
     controllers = []

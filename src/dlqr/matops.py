@@ -6,7 +6,12 @@ inputs. Problems here are desk-scale, so the Lyapunov equation is solved
 by an exact dense solve (Kronecker vectorization) for small closed loops
 and by a squaring iteration for larger ones. Both routes are private:
 _solve_dlyap_certified, which the cost module's closed-loop pass calls,
-picks one by size and certifies its solutions.
+picks one by size and certifies its solutions by their backward error
+
+    ||P - W - A^T P A||_F <= tol * (||W||_F + (1 + ||A||_F^2) ||P||_F),
+
+the residual that rounding alone leaves in a solution of the size of P
+(Higham 2002), so the verdict does not depend on the route.
 
 Each Lyapunov route works on a stack of N matrices of one size. Every
 stacked step is the same per-slice numpy or LAPACK operation as its 2-d
@@ -30,8 +35,15 @@ from .errors import (
 )
 
 # Closed-loop dimension at or below which the Lyapunov solve is a direct
-# Kronecker linear solve; above it the squaring iteration is used.
-KRON_DIM_LIMIT = 12
+# Kronecker linear solve; above it the squaring iteration is used. Set from
+# the stacked pass of one finite-difference gradient, per probe, with the
+# chunks each route gets (medians over 5 generated plants, one BLAS
+# thread, 2-core x86 machine; microseconds, Kronecker / doubling):
+#   m = 2: 37 / 53, m = 4: 40 / 41, m = 6: 172 / 48, m = 8: 416 / 69,
+#   m = 10: 767 / 96, m = 12: 1523 / 105, m = 16: 4898 / 176.
+# A single evaluate favours the Kronecker route up to m = 6 (369 / 410 us
+# there) and the doubling route from m = 8 (460 / 422 us).
+KRON_DIM_LIMIT = 4
 
 # The one singular-value rule of every rank and invertibility decision: a
 # matrix counts as numerically singular (rank deficient) when
@@ -54,11 +66,12 @@ STABILITY_MARGIN = 1e-9
 class SolverConfig:
     """Relative tolerance tol of every solver certificate: a Riccati
     iteration stops once successive iterates differ by at most
-    tol * (1 + ||P||_F), a Lyapunov solution must leave a residual of at
-    most tol * (1 + ||P||_F), and the doubling iteration stops once its
-    increment is at most half that. tol must be positive and finite. The
-    iteration budget and the stability margin are the module constants
-    MAX_ITER and STABILITY_MARGIN.
+    tol * (1 + ||P||_F), a Lyapunov solution of P = W + A^T P A must leave
+    a residual of at most tol * (||W||_F + (1 + ||A||_F^2) ||P||_F), and
+    the doubling iteration stops once its increment is at most
+    tol/2 * ||P||_F. tol must be positive and finite. The iteration
+    budget and the stability margin are the module constants MAX_ITER and
+    STABILITY_MARGIN.
     """
 
     tol: float = 1e-12
@@ -164,8 +177,7 @@ def _route_bytes(m):
 
 
 def _kron_route(A, W):
-    """Kronecker solves of P = W + A^T P A for a stack A of (N, n, n) and
-    W of (N, n, n) or (n, n).
+    """Kronecker solves of P = W + A^T P A for stacks A and W of (N, n, n).
 
     Vectorizing row-major, vec(A^T P A) = kron(A^T, A^T) vec(P), so each P
     solves (I - kron(A^T, A^T)) vec(P) = vec(W); all N systems go to one
@@ -199,8 +211,8 @@ _UNCONVERGED = "doubling Lyapunov iteration exhausted MAX_ITER"
 
 
 def _doubling_route(A, W, cfg):
-    """Squaring iterations of P = W + A^T P A for a stack A of (N, n, n) and
-    W of (N, n, n) or (n, n).
+    """Squaring iterations of P = W + A^T P A for stacks A and W of
+    (N, n, n).
 
     Each slice accumulates partial sums of its series sum_k (A^T)^k W A^k
     while squaring A, and stops on its own rule: a converged slice leaves
@@ -216,7 +228,7 @@ def _doubling_route(A, W, cfg):
         increment = M.swapaxes(-1, -2) @ P @ M
         P = _symmetrize(P + increment)
         done = [
-            not d > half_tol * (1.0 + p)
+            not d > half_tol * p
             for d, p in zip(_fro(increment).tolist(), _fro(P).tolist())
         ]
         if all(done):
@@ -233,30 +245,32 @@ def _doubling_route(A, W, cfg):
 
 def _solve_dlyap_certified(A, W, cfg):
     """Solutions of P = W + A^T P A over a stack, by the route of their
-    size, each with its residual certificate
-    ||P - W - A^T P A||_F <= tol * (1 + ||P||_F).
+    size, each with its backward-error certificate
+    ||P - W - A^T P A||_F <= tol * (||W||_F + (1 + ||A||_F^2) ||P||_F).
 
-    A is (N, m, m), validated and known to be stable; W is symmetric,
-    (N, m, m) or one (m, m) weight for every slice. Returns the solutions,
-    a list of their Frobenius norms and a dict from slice index to the
-    SolverDiverged of each slice that failed: the doubling budget ran out,
-    the solution is not finite, or the certificate fails."""
+    A is (N, m, m), validated and known to be stable; W is a symmetric
+    (N, m, m) stack. Returns the solutions, lists of the Frobenius norms
+    of the solutions and of the weights, and a dict from slice index to
+    the SolverDiverged of each slice that failed: the doubling budget ran
+    out, the solution is not finite, or the certificate fails. A bound
+    that is not finite certifies nothing, so it fails too."""
     if A.shape[-1] <= KRON_DIM_LIMIT:
         P, unconverged = _kron_route(A, W), ()
     else:
         P, unconverged = _doubling_route(A, W, cfg)
     errors = {int(k): SolverDiverged(_UNCONVERGED) for k in unconverged}
     residuals = _fro(P - W - A.swapaxes(-1, -2) @ P @ A).tolist()
-    norms = _fro(P).tolist()
-    for k, (residual, norm) in enumerate(zip(residuals, norms)):
-        if residual <= cfg.tol * (1.0 + norm) and norm < math.inf:
+    norms, weights = _fro(P).tolist(), _fro(W).tolist()
+    slices = zip(residuals, norms, weights, _fro(A).tolist())
+    for k, (residual, norm, weight, a) in enumerate(slices):
+        if residual <= cfg.tol * (weight + (1.0 + a * a) * norm) < math.inf:
             continue
         if math.isfinite(norm):
             exc = SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
         else:
             exc = SolverDiverged(f"Lyapunov solution is not finite: norm {norm}")
         errors.setdefault(k, exc)
-    return P, norms, errors
+    return P, norms, weights, errors
 
 
 def lqr_gain(A, B, R, P):

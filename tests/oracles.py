@@ -87,6 +87,24 @@ def series_cost_oracle(A, B, C, Q, R, A_K, B_K, C_K, X, terms=500):
     return total
 
 
+def extended_cost_oracle(A, B, C, Q, R, A_K, B_K, C_K, X, max_squarings=100):
+    """J = Tr(P X) with P = sum_k (A_cl^T)^k W_cl A_cl^k summed by repeated
+    squaring in numpy's extended precision (np.longdouble, 64-bit mantissa
+    on x86). Every term is PSD, so the sum has no cancellation, and it stops
+    once a term no longer changes it. For loops whose Kronecker system is
+    too ill-conditioned for cost_oracle."""
+    ext = np.longdouble
+    M = closed_loop_oracle(A, B, C, A_K, B_K, C_K).astype(ext)
+    P = stage_weight_oracle(Q, R, C_K).astype(ext)
+    for _ in range(max_squarings):
+        term = M.T @ P @ M
+        if np.all(P + term == P):
+            break
+        P = P + term
+        M = M @ M
+    return float(np.trace(P @ np.asarray(X, dtype=ext)))
+
+
 def dare_control_fixed_point(A, B, Q, R, iters=20000, tol=1e-14):
     """Plain fixed-point control Riccati iteration, independent code path."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -124,6 +142,20 @@ def random_plant_arrays(rng, n, m, d):
             continue
         if _kalman_controllable(A, B) and _kalman_controllable(A.T, C.T):
             return {"A": A, "B": B, "C": C, "Q": Q, "R": R}
+
+
+def draw_plant(rng, n):
+    """The generated-certify plant recipe of benchmark/reference.py, with
+    numpy alone: A rescaled to open-loop spectral radius 1.05, one input
+    and one output, Q = I, R = I and X = M M^T / (2n) + I. Returns the
+    plant arrays and X."""
+    A = rng.standard_normal((n, n))
+    A *= 1.05 / np.max(np.abs(np.linalg.eigvals(A)))
+    B = rng.standard_normal((n, 1))
+    C = rng.standard_normal((1, n))
+    M = rng.standard_normal((2 * n, 2 * n))
+    X = M @ M.T / (2 * n) + np.eye(2 * n)
+    return {"A": A, "B": B, "C": C, "Q": np.eye(n), "R": np.eye(1)}, X
 
 
 def _kalman_controllable(A, B, rtol=1e-6):

@@ -65,11 +65,11 @@ def test_eval_not_stabilizing_exits_2(ex1_problem_file, tmp_path, capsys):
 
 
 def test_eval_non_finite_lyapunov_pair_exits_5(tmp_path, capsys):
-    # a stable loop whose Lyapunov pair overflows to NaN: no "J": NaN, which
-    # is not JSON, but a check failure
+    # a stable, finite loop whose Lyapunov pair overflows to NaN: no
+    # "J": NaN, which is not JSON, but a check failure
     path = tmp_path / "overflow.json"
     plant = {"A": 0.5, "B": 1.0, "C": 1.0, "Q": 1.0, "R": 1.0}
-    controller = dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e160)
+    controller = dlqr.Controller(A_K=-0.5, B_K=1e-155, C_K=1e154)
     X = np.array([[1.0, 0.25], [0.25, 1.0]])
     path.write_text(json.dumps(problem_dict(plant, X, controller)))
     with np.errstate(all="ignore"):
@@ -77,6 +77,23 @@ def test_eval_non_finite_lyapunov_pair_exits_5(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Lyapunov solution is not finite" in captured.err
+
+
+def test_eval_overflowing_closed_loop_exits_5(tmp_path, capsys):
+    # B C_K = 1e200 * 1e200 overflows A_cl, which used to reach eigvals and
+    # exit 3 with numpy's "Array must not contain infs or NaNs"
+    path = tmp_path / "overflow.json"
+    plant = {"A": 0.5, "B": 1e200, "C": 1.0, "Q": 1.0, "R": 1.0}
+    controller = dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e200)
+    X = np.array([[1.0, 0.25], [0.25, 1.0]])
+    path.write_text(json.dumps(problem_dict(plant, X, controller)))
+    with np.errstate(all="ignore"):
+        assert main(["eval", "--problem", str(path), "--json"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "dlqr: check failed: closed loop overflows: A_cl has non-finite entries\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -479,6 +496,20 @@ def test_gradcheck_rejects_a_step_that_is_not_positive_and_finite(
             f"--step={step}"]
     assert main(argv) == 3
     assert "step must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_gradcheck_rejects_a_tol_that_is_negative_or_not_finite(
+    ex1_problem_file, capsys, tol
+):
+    # --tol inf used to PASS whatever the gradients, and --tol -1 to FAIL
+    argv = ["gradcheck", "--problem", ex1_problem_file, "--trials", "1", f"--tol={tol}"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"dlqr: input error: --tol must be non-negative and finite, got {float(tol)}\n"
+    )
+    assert captured.out == ""
 
 
 def test_gradcheck_rejects_negative_trials(ex1_problem_file, capsys):

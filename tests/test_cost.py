@@ -67,10 +67,11 @@ def test_evaluate_rejects_nonstabilizing(ex1_plant, cross_X):
 
 
 def test_evaluate_rejects_a_non_finite_lyapunov_pair(cross_X):
-    # a stable loop (rho 0.59) whose stage weight C_K^T R C_K overflows:
-    # the pair is NaN, and no certificate may pass it
+    # a stable loop (rho 0.59) with a finite stage weight C_K^T R C_K =
+    # 1e308 whose pair overflows: the pair is NaN, and no certificate may
+    # pass it
     plant = dlqr.Plant(A=0.5, B=1.0, C=1.0, Q=1.0, R=1.0)
-    controller = Controller(A_K=-0.5, B_K=1e-161, C_K=1e160)
+    controller = Controller(A_K=-0.5, B_K=1e-155, C_K=1e154)
     with np.errstate(all="ignore"), pytest.raises(dlqr.SolverDiverged, match="not finite"):
         dlqr.evaluate(plant, controller, cross_X)
 

@@ -74,7 +74,7 @@ def _doubling(A, W):
 
 def _certified(A, W, cfg=DEFAULT_CONFIG):
     """The certified solve of one P = W + A^T P A; raises its failure."""
-    P, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
+    P, _, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
     if errors:
         raise errors[0]
     return P[0]
@@ -147,6 +147,20 @@ def test_residual_certificate_rejects_an_inexact_solution(monkeypatch):
     monkeypatch.setattr(matops, "_kron_route", lambda A, W: 1.01 * _kron(A[0], W[0])[None])
     with pytest.raises(SolverDiverged, match="Lyapunov residual"):
         _certified(A, W)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_certificate_and_stop_rule_are_invariant_to_the_scale_of_w(scale):
+    # P and its rounding are linear in W, so a solution that certifies at
+    # one scale certifies at every scale, on both routes; a doubling stop
+    # rule with an absolute floor would stop early on a tiny W
+    rng = np.random.default_rng(13)
+    for m in (KRON_DIM_LIMIT, KRON_DIM_LIMIT + 4):
+        A = stable_random(rng, m, rho=0.9)
+        G = rng.normal(size=(m, m))
+        P = _certified(A, scale * (G @ G.T))
+        P_unit = _certified(A, G @ G.T)
+        assert np.linalg.norm(P - scale * P_unit) <= 1e-10 * np.linalg.norm(P)
 
 
 @pytest.mark.parametrize("m", [2, KRON_DIM_LIMIT + 2])

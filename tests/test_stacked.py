@@ -91,8 +91,8 @@ def test_slices_are_bit_identical_to_evaluate(n, monkeypatch):
         stable += 1
     unstable = len(controllers) - stable
     assert stable and unstable
-    # one stacked solve each for P and Sigma, over the stable slices only
-    assert solved == [stable, stable]
+    # one stacked solve for P and Sigma together, over the stable slices only
+    assert solved == [2 * stable]
 
 
 def test_all_unstable_stack_makes_no_lyapunov_solve(monkeypatch):
@@ -171,13 +171,13 @@ def test_certificate_failures_keep_evaluate_order(monkeypatch):
 
 
 def test_an_overflowing_slice_fails_alone():
-    # A_cl[0, 1] = 1e200 overflows kron(A_cl^T, A_cl^T), which fails the
+    # A_cl[1, 0] = 1e200 overflows kron(A_cl^T, A_cl^T), which fails the
     # whole stacked solve; that slice alone must fail, as SolverDiverged
     plant = dlqr.Plant(A=0.5, B=1.0, C=1.0, Q=1.0, R=1.0)
     X = np.array([[1.0, 0.25], [0.25, 1.0]])
     controllers = [
         dlqr.Controller(A_K=-0.5, B_K=0.5, C_K=-0.5),
-        dlqr.Controller(A_K=0.5, B_K=1e-201, C_K=1e200),
+        dlqr.Controller(A_K=0.5, B_K=1e200, C_K=1e-201),
         dlqr.Controller(A_K=0.2, B_K=0.3, C_K=-0.4),
     ]
     gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
@@ -190,3 +190,38 @@ def test_an_overflowing_slice_fails_alone():
         report = dlqr.evaluate(plant, controllers[k], X)
         assert out.P[k].tobytes() == report.P.tobytes()
         assert float(out.J[k]) == report.J
+
+
+@pytest.mark.parametrize(
+    "B, bad, matrix",
+    [
+        # B C_K = 1e200 * 1e200 overflows A_cl: no spectral radius exists
+        (1e200, dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e200), "A_cl"),
+        # a stable loop (rho 0.59) whose C_K^T R C_K = 1e320 overflows W_cl
+        (1.0, dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e160), "W_cl"),
+    ],
+)
+def test_an_overflowing_closed_loop_fails_alone(B, bad, matrix):
+    # the overflowing slice fails as a SolverDiverged that names the
+    # overflow, and the good slice beside it keeps its results
+    plant = dlqr.Plant(A=0.5, B=B, C=1.0, Q=1.0, R=1.0)
+    X = np.array([[1.0, 0.25], [0.25, 1.0]])
+    good = dlqr.Controller(A_K=-0.5, B_K=0.5, C_K=-0.5 / B)
+    for controllers in ([bad, good], [good, bad]):
+        k_bad, k_good = controllers.index(bad), controllers.index(good)
+        gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
+        with np.errstate(all="ignore"):
+            out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+        assert list(out.errors) == [k_bad]
+        exc = out.errors[k_bad]
+        assert isinstance(exc, dlqr.SolverDiverged)
+        assert str(exc) == f"closed loop overflows: {matrix} has non-finite entries"
+        assert np.isnan(out.rho[k_bad]) == (matrix == "A_cl")
+        report = dlqr.evaluate(plant, good, X)
+        assert out.P[0].tobytes() == report.P.tobytes()
+        assert out.Sigma[0].tobytes() == report.Sigma.tobytes()
+        assert float(out.J[k_good]) == report.J
+        assert float(out.rho[k_good]) == report.rho
+        with np.errstate(all="ignore"), pytest.raises(dlqr.SolverDiverged) as raised:
+            dlqr.evaluate(plant, bad, X)
+        assert str(raised.value) == str(exc)
