@@ -115,6 +115,7 @@ def cmd_eval(args):
             json.dumps(
                 {
                     "J": report.J,
+                    "J_error": report.J_error,
                     "rho": rho,
                     "lambda_min_P": lam_P,
                     "lambda_min_Sigma": lam_S,
@@ -124,6 +125,7 @@ def cmd_eval(args):
         )
     else:
         print(f"J                = {_fmt(report.J)}")
+        print(f"J_error          = {_fmt(report.J_error)}")
         print(f"rho(A_cl)        = {_fmt(rho)}")
         print(f"lambda_min(P)    = {_fmt(lam_P)}")
         print(f"lambda_min(Sigma) = {_fmt(lam_S)}")

@@ -249,19 +249,20 @@ def _solve_dlyap_certified(A, W, cfg):
     ||P - W - A^T P A||_F <= tol * (||W||_F + (1 + ||A||_F^2) ||P||_F).
 
     A is (N, m, m), validated and known to be stable; W is a symmetric
-    (N, m, m) stack. Returns the solutions, lists of the Frobenius norms
-    of the solutions and of the weights, and a dict from slice index to
-    the SolverDiverged of each slice that failed: the doubling budget ran
-    out, the solution is not finite, or the certificate fails. A bound
-    that is not finite certifies nothing, so it fails too."""
+    (N, m, m) stack. Returns the solutions, their residual matrices
+    P - W - A^T P A, the list of the solutions' Frobenius norms, and a dict
+    from slice index to the SolverDiverged of each slice that failed: the
+    doubling budget ran out, the solution is not finite, or the certificate
+    fails. A bound that is not finite certifies nothing, so it fails
+    too."""
     if A.shape[-1] <= KRON_DIM_LIMIT:
         P, unconverged = _kron_route(A, W), ()
     else:
         P, unconverged = _doubling_route(A, W, cfg)
     errors = {int(k): SolverDiverged(_UNCONVERGED) for k in unconverged}
-    residuals = _fro(P - W - A.swapaxes(-1, -2) @ P @ A).tolist()
-    norms, weights = _fro(P).tolist(), _fro(W).tolist()
-    slices = zip(residuals, norms, weights, _fro(A).tolist())
+    R = P - W - A.swapaxes(-1, -2) @ P @ A
+    norms = _fro(P).tolist()
+    slices = zip(_fro(R).tolist(), norms, _fro(W).tolist(), _fro(A).tolist())
     for k, (residual, norm, weight, a) in enumerate(slices):
         if residual <= cfg.tol * (weight + (1.0 + a * a) * norm) < math.inf:
             continue
@@ -270,7 +271,7 @@ def _solve_dlyap_certified(A, W, cfg):
         else:
             exc = SolverDiverged(f"Lyapunov solution is not finite: norm {norm}")
         errors.setdefault(k, exc)
-    return P, norms, weights, errors
+    return P, R, norms, errors
 
 
 def lqr_gain(A, B, R, P):

@@ -1,6 +1,6 @@
 """Problem data model: plant, dynamic controller, closed-loop assembly,
-admissibility tests, observer-based construction, trajectory rollout, and
-the JSON problem-file schema."""
+admissibility tests, observer-based construction, and the JSON
+problem-file schema."""
 
 import json
 from dataclasses import dataclass
@@ -11,7 +11,6 @@ from . import matops
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
-    NotStabilizing,
     SchemaError,
 )
 from .matops import _as_matrix, _check_psd, _check_symmetric
@@ -240,26 +239,6 @@ def observer_based(plant, K_gain, L_gain):
     return Controller(A_K, L, -K)
 
 
-def rollout_cost(plant, controller, X, horizon):
-    """Truncated-horizon cost sum_{t<horizon} Tr(W_cl A_cl^t X (A_cl^T)^t).
-
-    Propagates the second moment forward exactly, so the value is the
-    expected finite-horizon cost with no sampling. Converges to the
-    infinite-horizon cost as the horizon grows.
-    """
-    if horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if not is_stabilizing(plant, controller):
-        raise NotStabilizing("rollout_cost requires a stabilizing controller")
-    loop = assemble(plant, controller)
-    S = as_second_moment(X, plant.n).X.copy()
-    total = 0.0
-    for _ in range(horizon):
-        total += float(np.trace(loop.W_cl @ S))
-        S = loop.A_cl @ S @ loop.A_cl.T
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class Problem:
     """A parsed problem file: plant, second moment, optional seed controller."""
@@ -274,16 +253,22 @@ _PROBLEM_KEYS = {"A", "B", "C", "Q", "R", "X", "seed_controller"}
 _CONTROLLER_KEYS = {"A_K", "B_K", "C_K"}
 
 
+def _check_keys(obj, name, allowed, required):
+    """SchemaError if the object obj has a key outside allowed, or lacks
+    one of required; name starts each message."""
+    unknown = set(obj) - allowed
+    if unknown:
+        raise SchemaError(f"{name} has unknown keys: {sorted(unknown)}")
+    missing = required - set(obj)
+    if missing:
+        raise SchemaError(f"{name} is missing keys: {sorted(missing)}")
+
+
 def matrix_from_wire(obj, name):
     """Decode one {"rows", "cols", "data"} wire matrix; strict schema."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object with rows/cols/data")
-    unknown = set(obj) - _MATRIX_KEYS
-    if unknown:
-        raise SchemaError(f"{name} has unknown keys: {sorted(unknown)}")
-    missing = _MATRIX_KEYS - set(obj)
-    if missing:
-        raise SchemaError(f"{name} is missing keys: {sorted(missing)}")
+    _check_keys(obj, name, _MATRIX_KEYS, _MATRIX_KEYS)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
     if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
         raise SchemaError(f"{name}: rows and cols must be positive integers")
@@ -307,12 +292,7 @@ def matrix_to_wire(M):
 def controller_from_wire(obj, name="seed_controller"):
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object with A_K/B_K/C_K")
-    unknown = set(obj) - _CONTROLLER_KEYS
-    if unknown:
-        raise SchemaError(f"{name} has unknown keys: {sorted(unknown)}")
-    missing = _CONTROLLER_KEYS - set(obj)
-    if missing:
-        raise SchemaError(f"{name} is missing keys: {sorted(missing)}")
+    _check_keys(obj, name, _CONTROLLER_KEYS, _CONTROLLER_KEYS)
     return Controller(
         matrix_from_wire(obj["A_K"], f"{name}.A_K"),
         matrix_from_wire(obj["B_K"], f"{name}.B_K"),
@@ -324,12 +304,7 @@ def parse_problem(obj):
     """Build a Problem from a decoded JSON object; strict schema."""
     if not isinstance(obj, dict):
         raise SchemaError("problem file must contain a JSON object")
-    unknown = set(obj) - _PROBLEM_KEYS
-    if unknown:
-        raise SchemaError(f"problem has unknown keys: {sorted(unknown)}")
-    missing = (_PROBLEM_KEYS - {"seed_controller"}) - set(obj)
-    if missing:
-        raise SchemaError(f"problem is missing keys: {sorted(missing)}")
+    _check_keys(obj, "problem", _PROBLEM_KEYS, _PROBLEM_KEYS - {"seed_controller"})
     plant = Plant(
         matrix_from_wire(obj["A"], "A"),
         matrix_from_wire(obj["B"], "B"),

@@ -28,8 +28,9 @@ def write_controller(tmp_path, A_K, B_K, C_K, name="controller.json"):
 def test_eval_human_output(ex1_problem_file, capsys, ex1_plant, rounded_k1, cross_X):
     assert main(["eval", "--problem", ex1_problem_file]) == 0
     out = capsys.readouterr().out
-    expected_J = dlqr.evaluate(ex1_plant, rounded_k1, cross_X).J
-    assert f"= {expected_J:.17g}" in out
+    report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
+    assert f"J                = {report.J:.17g}\n" in out
+    assert f"J_error          = {report.J_error:.17g}\n" in out
     assert "rho(A_cl)" in out
     assert "residual rP12" in out
 
@@ -38,6 +39,7 @@ def test_eval_json_output(ex1_problem_file, capsys):
     assert main(["eval", "--problem", ex1_problem_file, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["J"] == pytest.approx(15.44299003919382, rel=1e-12)
+    assert 0.0 < payload["J_error"] <= 1e-12 * payload["J"]
     assert payload["rho"] == pytest.approx(0.156, abs=1e-12)
     assert payload["lambda_min_P"] > 0.0
     assert set(payload["residuals"]) == {
@@ -81,14 +83,17 @@ def test_eval_non_finite_lyapunov_pair_exits_5(tmp_path, capsys):
 
 def test_eval_overflowing_closed_loop_exits_5(tmp_path, capsys):
     # B C_K = 1e200 * 1e200 overflows A_cl, which used to reach eigvals and
-    # exit 3 with numpy's "Array must not contain infs or NaNs"
+    # exit 3 with numpy's "Array must not contain infs or NaNs"; the
+    # overflow is reported once, as the typed error, with no numpy warning
     path = tmp_path / "overflow.json"
     plant = {"A": 0.5, "B": 1e200, "C": 1.0, "Q": 1.0, "R": 1.0}
     controller = dlqr.Controller(A_K=-0.5, B_K=1e-161, C_K=1e200)
     X = np.array([[1.0, 0.25], [0.25, 1.0]])
     path.write_text(json.dumps(problem_dict(plant, X, controller)))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["eval", "--problem", str(path), "--json"]) == 5
+    assert caught == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(

@@ -5,7 +5,13 @@ from numpy.testing import assert_allclose
 import dlqr
 from dlqr import Controller, CostReport, NotStabilizing
 
-from oracles import cost_oracle, lyap_dual_oracle, random_plant_arrays
+from conftest import EX1
+from oracles import (
+    cost_oracle,
+    lyap_dual_oracle,
+    random_plant_arrays,
+    series_cost_oracle,
+)
 
 # Value matrix of the rounded Example-1 controller against the shared X,
 # computed from the scalar closed loop with an independent direct solve.
@@ -109,7 +115,8 @@ def test_block_residuals_detect_corrupted_value_matrix(
 
 def test_cost_agrees_with_rollout(ex1_plant, rounded_k1, cross_X):
     report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
-    rolled = dlqr.rollout_cost(ex1_plant, rounded_k1, cross_X, 500)
+    k = rounded_k1
+    rolled = series_cost_oracle(**EX1, A_K=k.A_K, B_K=k.B_K, C_K=k.C_K, X=cross_X)
     assert abs(report.J - rolled) <= 1e-6 * (1.0 + report.J)
 
 

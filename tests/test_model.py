@@ -9,14 +9,13 @@ from dlqr import (
     AssumptionViolated,
     Controller,
     DimensionMismatch,
-    NotStabilizing,
     Plant,
     SchemaError,
     SecondMoment,
 )
 
 from conftest import EX1, CROSS_X, problem_dict, wire
-from oracles import closed_loop_oracle, series_cost_oracle, stage_weight_oracle
+from oracles import closed_loop_oracle, stage_weight_oracle
 
 
 def test_plant_scalar_coercion_and_dimensions(ex1_plant):
@@ -155,26 +154,6 @@ def test_observer_based_structure(ex1_plant):
     assert k.C_K[0, 0] == -0.9437
     with pytest.raises(DimensionMismatch):
         dlqr.observer_based(ex1_plant, np.ones((2, 1)), 1.1)
-
-
-def test_rollout_cost_first_term_and_series(ex1_plant, rounded_k1, cross_X):
-    loop = dlqr.assemble(ex1_plant, rounded_k1)
-    one = dlqr.rollout_cost(ex1_plant, rounded_k1, cross_X, 1)
-    assert one == pytest.approx(float(np.trace(loop.W_cl @ cross_X)), rel=1e-14)
-    rolled = dlqr.rollout_cost(ex1_plant, rounded_k1, cross_X, 300)
-    series = series_cost_oracle(
-        1.1, 1.0, 1.0, 5.0, 1.0, -0.944, 1.1, -0.944, cross_X, terms=300
-    )
-    assert rolled == pytest.approx(series, rel=1e-13)
-
-
-def test_rollout_cost_rejects_bad_inputs(ex1_plant, rounded_k1, cross_X):
-    with pytest.raises(ValueError):
-        dlqr.rollout_cost(ex1_plant, rounded_k1, cross_X, 0)
-    with pytest.raises(NotStabilizing):
-        dlqr.rollout_cost(
-            ex1_plant, Controller(A_K=0.0, B_K=0.0, C_K=0.0), cross_X, 10
-        )
 
 
 def test_matrix_wire_round_trip():

@@ -4,9 +4,11 @@ closed loops of size 2 to 16 cross the Kronecker/doubling switch.
 Each example draws a plant from a seed, the observer-based controller of
 its two Riccati gains (stabilizing by separation) and a random X > 0. The
 backward-error certificate must hold for both Lyapunov routes and still
-reject a solution scaled by 1 + 1e-8; the cost must be invariant under a
-similarity transform of the controller state that carries X along, and
-transformed_cost must match evaluate on the transformed controller."""
+reject a solution scaled by 1 + 1e-8; J_error must cover both the gap
+between the two trace forms and J's distance to an extended-precision
+sum; the cost must be invariant under a similarity transform of the
+controller state that carries X along, and transformed_cost must match
+evaluate on the transformed controller."""
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from hypothesis import strategies as st
 
 import dlqr
 from dlqr import matops
-from dlqr.cost import TRACE_MATCH_RTOL
 from dlqr.matops import (
     DEFAULT_CONFIG,
     KRON_DIM_LIMIT,
@@ -25,7 +26,12 @@ from dlqr.matops import (
     _symmetrize,
 )
 
-from oracles import random_invertible, random_pd_second_moment, random_plant_arrays
+from oracles import (
+    extended_cost_oracle,
+    random_invertible,
+    random_pd_second_moment,
+    random_plant_arrays,
+)
 
 MIN_ORDER, MAX_ORDER = 1, 8
 ORDERS = st.integers(MIN_ORDER, MAX_ORDER)
@@ -111,16 +117,27 @@ def test_certificate_rejects_a_scaled_solution(seed, n, scale):
 @PROPERTY
 @given(seed=SEEDS, n=ORDERS)
 def test_trace_forms_agree(seed, n):
-    # Tr(P X) and Tr(W_cl Sigma) are the same cost; on these loops they
-    # agree far inside the trace-match bound
+    # Tr(P X) and Tr(W_cl Sigma) are the same cost, and their gap is
+    # Tr(r_P Sigma) - Tr(P r_Sigma), which J_error bounds; a P and a Sigma
+    # of different loops would not agree
     plant, controller, X, _ = _instance(seed, n)
     report = dlqr.evaluate(plant, controller, X)
     W_cl = dlqr.assemble(plant, controller).W_cl
     J_value = float(np.trace(report.P @ X))
     J_correlation = float(np.trace(W_cl @ report.Sigma))
-    scale = 1.0 + _fro(report.P) * _fro(X) + _fro(W_cl) * _fro(report.Sigma)
     assert J_value == report.J
-    assert abs(J_value - J_correlation) <= 1e-3 * TRACE_MATCH_RTOL * scale
+    assert abs(J_value - J_correlation) <= report.J_error
+
+
+@PROPERTY
+@given(seed=SEEDS, n=ORDERS)
+def test_j_error_covers_the_forward_error(seed, n):
+    plant, controller, X, _ = _instance(seed, n)
+    report = dlqr.evaluate(plant, controller, X)
+    k = controller
+    arrays = {name: getattr(plant, name) for name in "ABCQR"}
+    J = extended_cost_oracle(**arrays, A_K=k.A_K, B_K=k.B_K, C_K=k.C_K, X=X)
+    assert abs(report.J - J) <= report.J_error
 
 
 @PROPERTY
