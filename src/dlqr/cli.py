@@ -5,8 +5,9 @@ with deterministic row order; all numbers are printed with 17 significant
 digits so downstream plots reproduce bit-faithfully.
 
 The parser is built once, at import, and holds every default: `--tol` is
-SolverConfig's tolerance on the solver commands and GRADCHECK_DEFAULT_TOL on
-`gradcheck`, and the `descend` flags are DescentConfig's fields. `main`
+`gradcheck`'s pass threshold, GRADCHECK_DEFAULT_TOL, and the `descend`
+flags are DescentConfig's fields. The solver commands take no tolerance:
+their certificates are judged to matops.SOLVER_RTOL. `main`
 calls `cmd_<command>(args)` with the parsed namespace, looking the handler
 up by name at call time, so a patched module attribute is the one called.
 
@@ -43,8 +44,7 @@ from .errors import (
     SingularX12,
     SolverDiverged,
 )
-from .gradient import analytic_gradient, finite_difference_gradient
-from .matops import DEFAULT_CONFIG, SolverConfig
+from .gradient import GradientTriple, analytic_gradient, finite_difference_gradient
 from .model import (
     controller_from_wire,
     controller_to_vector,
@@ -107,7 +107,7 @@ def cmd_eval(args):
     """Evaluate the cost of one controller and print its certificates."""
     problem = load_problem(args.problem)
     controller = _resolve_controller(problem, args.controller)
-    report = evaluate(problem.plant, controller, problem.X, SolverConfig(tol=args.tol))
+    report = evaluate(problem.plant, controller, problem.X)
     rho, lam_P, lam_S = report.rho, report.lambda_min_P, report.lambda_min_Sigma
     residuals = block_lyapunov_residuals(problem.plant, controller, report)
     if args.as_json:
@@ -137,7 +137,7 @@ def cmd_eval(args):
 def cmd_stationary(args):
     """Construct the closed-form stationary controller and print it."""
     problem = load_problem(args.problem)
-    cert = stationary_candidate(problem.plant, problem.X, SolverConfig(tol=args.tol))
+    cert = stationary_candidate(problem.plant, problem.X)
     if args.as_json:
         print(
             json.dumps(
@@ -233,7 +233,6 @@ def cmd_landscape(args):
     """Sweep controller entries (or the orbit parameter) and write CSV."""
     problem = load_problem(args.problem)
     plant = problem.plant
-    cfg = SolverConfig(tol=args.tol)
     base = _resolve_controller(problem, args.controller)
     lines = ["axis1,axis2,J,stabilizing,rho"]
 
@@ -248,7 +247,7 @@ def cmd_landscape(args):
         # Similarity preserves the closed-loop spectrum, so stability and
         # rho are those of the base controller for every t.
         try:
-            report = evaluate(plant, base, problem.X, cfg)
+            report = evaluate(plant, base, problem.X)
         except NotStabilizing as exc:
             J, stabilizing, rho = [None] * len(ts), False, exc.rho
         else:
@@ -294,7 +293,7 @@ def cmd_landscape(args):
     if not finite.all():
         k = int(np.argmin(finite))
         type(base)(**{key: M[k] for key, M in stacks.items()})  # raises its error
-    J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X, cfg)
+    J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X)
     for k, values in enumerate(zip(*grid)):
         exc = errors.get(k)
         if exc is not None and not isinstance(exc, NotStabilizing):
@@ -329,12 +328,8 @@ def cmd_gradcheck(args):
     for controller in controllers:
         ga = analytic_gradient(plant, controller, problem.X)
         gf = finite_difference_gradient(plant, controller, problem.X, step=args.step)
-        diff = np.sqrt(
-            np.sum((ga.dA_K - gf.dA_K) ** 2)
-            + np.sum((ga.dB_K - gf.dB_K) ** 2)
-            + np.sum((ga.dC_K - gf.dC_K) ** 2)
-        )
-        discrepancies.append(float(diff) / (1.0 + ga.norm))
+        diff = GradientTriple(ga.dA_K - gf.dA_K, ga.dB_K - gf.dB_K, ga.dC_K - gf.dC_K)
+        discrepancies.append(diff.norm / (1.0 + ga.norm))
     worst = float(np.max(discrepancies))  # NaN propagates, and NaN fails
     passed = worst <= args.tol
     if args.as_json:
@@ -355,16 +350,16 @@ def cmd_gradcheck(args):
     return 0 if passed else 5
 
 
-def _candidate_distance(plant, X, final, cfg):
+def _candidate_distance(plant, X, final):
     # Parameter distance to the closed-form stationary controller, raw and
     # after canonicalizing the final iterate with its own optimal transform
     # (which removes the sub-tolerance drift along the orbit direction).
-    cert = stationary_candidate(plant, X, cfg)
+    cert = stationary_candidate(plant, X)
     raw = float(
         np.linalg.norm(controller_to_vector(final) - controller_to_vector(cert.K_star))
     )
     try:
-        canonical_ctrl = apply(final, optimal_transform(plant, final, X, cfg))
+        canonical_ctrl = apply(final, optimal_transform(plant, final, X))
         canonical = float(
             np.linalg.norm(
                 controller_to_vector(canonical_ctrl)
@@ -380,7 +375,6 @@ def cmd_descend(args):
     """Run gradient descent, write the per-iteration CSV, report the end."""
     problem = load_problem(args.problem)
     plant = problem.plant
-    solver_cfg = SolverConfig(tol=args.tol)
     cfg = DescentConfig(
         **{field: getattr(args, field) for field in _DESCENT_FLAGS.values()}
     )
@@ -388,7 +382,7 @@ def cmd_descend(args):
         init = problem.seed_controller
     else:
         init = random_stabilizing_init(plant, args.seed)
-    trace = descend(plant, problem.X, init, cfg, solver_cfg)
+    trace = descend(plant, problem.X, init, cfg)
     lines = ["iter,J,grad_norm,step"]
     for k, step_rec in enumerate(trace.steps):
         lines.append(
@@ -397,9 +391,7 @@ def cmd_descend(args):
     _write_lines(args.out, lines)
     final = trace.final_controller
     try:
-        cert, raw, canonical = _candidate_distance(
-            plant, problem.X, final, solver_cfg
-        )
+        cert, raw, canonical = _candidate_distance(plant, problem.X, final)
         distance = {"raw": raw, "canonical": canonical, "J_candidate": cert.J}
     except (SingularX12, AssumptionViolated, SolverDiverged) as exc:
         distance = None
@@ -448,12 +440,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(
-        p, controller=False, tol=DEFAULT_CONFIG.tol, tol_help="solver tolerance"
-    ):
+    def common(p, controller=False):
         p.add_argument("--problem", required=True, help="problem JSON file")
         p.add_argument("--json", action="store_true", dest="as_json")
-        p.add_argument("--tol", type=float, default=tol, help=tol_help)
         if controller:
             p.add_argument(
                 "--controller",
@@ -492,11 +481,12 @@ def _build_parser():
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    common(
-        p,
-        controller=True,
-        tol=GRADCHECK_DEFAULT_TOL,
-        tol_help="pass threshold on the relative discrepancy",
+    common(p, controller=True)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=GRADCHECK_DEFAULT_TOL,
+        help="pass threshold on the relative discrepancy",
     )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

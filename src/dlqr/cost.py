@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import NotStabilizing, SolverDiverged
 from .matops import (
-    DEFAULT_CONFIG,
     STABILITY_MARGIN,
     _below_psd_floor,
     _min_eig,
@@ -128,7 +127,7 @@ class _Slices(NamedTuple):
     errors: dict
 
 
-def _certified_pair(A_cl, W_cl, X, cfg):
+def _certified_pair(A_cl, W_cl, X):
     """J, the Lyapunov pair, the PSD margins and the residual matrices of a
     stack of stable loops, and a dict of per-slice failures, each slice's
     first in evaluate's order: P solve, Sigma solve, PSD of P, PSD of
@@ -142,7 +141,7 @@ def _certified_pair(A_cl, W_cl, X, cfg):
     W = np.empty(A.shape)
     W[:N] = _symmetrize(W_cl)
     W[N:] = X
-    pair, residuals, norms, solve_errors = _solve_dlyap_certified(A, W, cfg)
+    pair, residuals, norms, solve_errors = _solve_dlyap_certified(A, W)
     P, Sigma = pair[:N], pair[N:]
     lam = _min_eig(pair)
     margins = lam.tolist()
@@ -162,7 +161,7 @@ def _certified_pair(A_cl, W_cl, X, cfg):
 _OVERFLOW = "closed loop overflows: {} has non-finite entries"
 
 
-def _closed_loop_pass(plant, gains, X, cfg):
+def _closed_loop_pass(plant, gains, X):
     """evaluate over a stack of N controllers of one plant, slice by slice.
 
     gains is a _Gains stack and X the (2n, 2n) second-moment array. A
@@ -196,20 +195,20 @@ def _closed_loop_pass(plant, gains, X, cfg):
         elif not w_ok:
             errors[k] = SolverDiverged(_OVERFLOW.format("W_cl"))
     if not errors:
-        return _Slices(rho, *_certified_pair(loop.A_cl, loop.W_cl, X, cfg))
+        return _Slices(rho, *_certified_pair(loop.A_cl, loop.W_cl, X))
     J = np.full(len(rho), np.nan)
     if len(errors) == len(rho):
         return _Slices(rho, J, None, None, None, None, None, errors)
     live = np.array([k for k in range(len(rho)) if k not in errors])
     J_live, *certified, live_errors = _certified_pair(
-        loop.A_cl[live], loop.W_cl[live], X, cfg
+        loop.A_cl[live], loop.W_cl[live], X
     )
     J[live] = J_live
     errors.update((int(live[k]), exc) for k, exc in live_errors.items())
     return _Slices(rho, J, *certified, errors)
 
 
-def _stacked_costs(plant, gains, X, cfg):
+def _stacked_costs(plant, gains, X):
     """J, rho and the per-slice failures of N controllers, as arrays of N
     and a dict from slice index to exception, from _closed_loop_pass run
     in chunks of at most _STACK_SLICES slices whose largest per-slice
@@ -220,14 +219,14 @@ def _stacked_costs(plant, gains, X, cfg):
     J, rho, errors = np.empty(N), np.empty(N), {}
     for start in range(0, N, size):
         chunk = _Gains(*(g[start : start + size] for g in gains))
-        out = _closed_loop_pass(plant, chunk, X, cfg)
+        out = _closed_loop_pass(plant, chunk, X)
         J[start : start + size] = out.J
         rho[start : start + size] = out.rho
         errors.update((start + k, exc) for k, exc in out.errors.items())
     return J, rho, errors
 
 
-def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
+def evaluate(plant, controller, X):
     """Cost report for a stabilizing controller.
 
     The report's J_error bounds |J - J_exact| from the residual matrices
@@ -255,7 +254,7 @@ def evaluate(plant, controller, X, cfg=DEFAULT_CONFIG):
     """
     X = as_second_moment(X, plant.n)
     gains = _Gains(controller.A_K[None], controller.B_K[None], controller.C_K[None])
-    out = _closed_loop_pass(plant, gains, X.X, cfg)
+    out = _closed_loop_pass(plant, gains, X.X)
     if out.errors:
         # popped, so that the frame its traceback holds does not keep the
         # exception alive in a reference cycle

@@ -23,7 +23,11 @@ resets the Barzilai-Borwein memory, whose quotient would span the change
 of coordinates, and the next trial step is the last accepted one. The
 jump is skipped, keeping the candidate, when the transform does not exist
 (X12 or P12 singular, an unobservable candidate) or the jumped controller
-fails its certificates."""
+fails its certificates.
+
+DescentConfig holds every setting of the descent. The solves inside it
+take none: each evaluation is certified to matops.SOLVER_RTOL, as
+everywhere else."""
 
 import math
 from dataclasses import dataclass
@@ -41,7 +45,6 @@ from .errors import (
 )
 from .gradient import analytic_gradient
 from .matops import (
-    DEFAULT_CONFIG,
     filter_gain,
     lqr_gain,
     solve_dare_control,
@@ -188,19 +191,17 @@ def _grad_vector(grad):
     return controller_to_vector(grad.as_controller_direction())
 
 
-def _orbit_jump(plant, cand, X, cand_report, solver_cfg):
+def _orbit_jump(plant, cand, X, cand_report):
     """The candidate moved to its optimal similarity transform, with a
     fresh report, or None when the jump is unavailable or raises J; and
     the number of evaluate calls made (0 or 1)."""
     try:
-        jumped = apply(
-            cand, optimal_transform(plant, cand, X, solver_cfg, report=cand_report)
-        )
+        jumped = apply(cand, optimal_transform(plant, cand, X, report=cand_report))
     except (AssumptionViolated, NotObservable, OptimalTransformNotFound):
         # T* does not exist
         return None, 0
     try:
-        report = evaluate(plant, jumped, X, solver_cfg)
+        report = evaluate(plant, jumped, X)
     except (NotStabilizing, SolverDiverged):
         # rounding in apply can move rho across the stability margin
         return None, 1
@@ -209,7 +210,7 @@ def _orbit_jump(plant, cand, X, cand_report, solver_cfg):
     return (jumped, report), 1
 
 
-def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFIG):
+def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG):
     """Gradient descent from a stabilizing initial controller.
 
     Parameters
@@ -217,9 +218,8 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
     init : Controller
         Must stabilize the plant.
     cfg : DescentConfig
-    solver_cfg : SolverConfig
-        Certificate tolerance of the inner Lyapunov solves; the stability
-        test is evaluate's, rho < 1 - matops.STABILITY_MARGIN.
+        The line search and stop rule; the stability test is evaluate's,
+        rho < 1 - matops.STABILITY_MARGIN.
 
     Returns
     -------
@@ -233,8 +233,8 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
         If init does not stabilize the plant.
     """
     X = as_second_moment(X, plant.n)
-    report = evaluate(plant, init, X, solver_cfg)
-    grad = analytic_gradient(plant, init, X, solver_cfg, report=report)
+    report = evaluate(plant, init, X)
+    grad = analytic_gradient(plant, init, X, report=report)
     controller, J = init, report.J
     theta, g_vec = controller_to_vector(init), _grad_vector(grad)
     steps = [
@@ -265,7 +265,7 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
             cand_vec = theta - t * g_vec
             cand = controller_from_vector(controller, cand_vec)
             try:
-                cand_report = evaluate(plant, cand, X, solver_cfg)
+                cand_report = evaluate(plant, cand, X)
             except NotStabilizing:
                 rejected_unstable += 1
             except SolverDiverged:
@@ -282,7 +282,7 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
         evaluations = backtracks + 1
         jump = None
         if k % CANON_EVERY == 0:
-            jump, jump_evaluations = _orbit_jump(plant, cand, X, cand_report, solver_cfg)
+            jump, jump_evaluations = _orbit_jump(plant, cand, X, cand_report)
             evaluations += jump_evaluations
         if jump is None:
             prev_theta, prev_g = theta, g_vec
@@ -292,7 +292,7 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG, solver_cfg=DEFAULT_CONFI
             cand_vec = controller_to_vector(cand)
             prev_theta, t_default = None, t
         controller, J, theta = cand, cand_report.J, cand_vec
-        grad = analytic_gradient(plant, controller, X, solver_cfg, report=cand_report)
+        grad = analytic_gradient(plant, controller, X, report=cand_report)
         g_vec = _grad_vector(grad)
         steps.append(
             DescentStep(

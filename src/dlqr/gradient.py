@@ -12,7 +12,6 @@ import numpy as np
 
 from .cost import _Gains, _stacked_costs, evaluate
 from .errors import NotStabilizing
-from .matops import DEFAULT_CONFIG
 from .model import Controller, as_second_moment, controller_to_vector
 
 # Halvings of the finite-difference step before giving up on a coordinate
@@ -42,7 +41,7 @@ class GradientTriple:
         return Controller(A_K=self.dA_K, B_K=self.dB_K, C_K=self.dC_K)
 
 
-def analytic_gradient(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
+def analytic_gradient(plant, controller, X, report=None):
     """Exact gradient of J at a stabilizing controller.
 
     Parameters
@@ -63,7 +62,7 @@ def analytic_gradient(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
         If the controller does not stabilize the plant.
     """
     if report is None:
-        report = evaluate(plant, controller, X, cfg)
+        report = evaluate(plant, controller, X)
     A, B, C = plant.A, plant.B, plant.C
     R = plant.R
     A_K, B_K, C_K = controller.A_K, controller.B_K, controller.C_K
@@ -91,7 +90,7 @@ def _coordinate_name(controller, c):
         c -= M.size
 
 
-def finite_difference_gradient(plant, controller, X, step=1e-6, cfg=DEFAULT_CONFIG):
+def finite_difference_gradient(plant, controller, X, step=1e-6):
     """Central-difference gradient, in batched passes over all coordinates.
 
     Each coordinate uses a relative step h = step * (1 + |theta_i|). One
@@ -108,7 +107,7 @@ def finite_difference_gradient(plant, controller, X, step=1e-6, cfg=DEFAULT_CONF
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
-    evaluate(plant, controller, X, cfg)  # fail fast at the base point
+    evaluate(plant, controller, X)  # fail fast at the base point
     X = as_second_moment(X, plant.n).X
     theta = controller_to_vector(controller)
     splits = np.cumsum([controller.A_K.size, controller.B_K.size])
@@ -129,7 +128,7 @@ def finite_difference_gradient(plant, controller, X, step=1e-6, cfg=DEFAULT_CONF
                 for block, shape in zip(np.split(probes, splits, axis=1), shapes)
             )
         )
-        J, _, errors = _stacked_costs(plant, gains, X, cfg)
+        J, _, errors = _stacked_costs(plant, gains, X)
         halve = []
         for j, c in enumerate(open_):
             exc = errors.get(j, errors.get(q + j))  # +h is decided before -h

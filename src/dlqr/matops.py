@@ -8,10 +8,12 @@ and by a squaring iteration for larger ones. Both routes are private:
 _solve_dlyap_certified, which the cost module's closed-loop pass calls,
 picks one by size and certifies its solutions by their backward error
 
-    ||P - W - A^T P A||_F <= tol * (||W||_F + (1 + ||A||_F^2) ||P||_F),
+    ||P - W - A^T P A||_F <= SOLVER_RTOL * (||W||_F + (1 + ||A||_F^2) ||P||_F),
 
 the residual that rounding alone leaves in a solution of the size of P
-(Higham 2002), so the verdict does not depend on the route.
+(Higham 2002), so the verdict does not depend on the route. Because that
+residual measures rounding, not a preference, SOLVER_RTOL is a module
+constant and no solver takes a tolerance argument.
 
 Each Lyapunov route works on a stack of N matrices of one size. Every
 stacked step is the same per-slice numpy or LAPACK operation as its 2-d
@@ -22,7 +24,6 @@ certificate passes only on `value <= bound`, which a NaN fails.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,34 +55,20 @@ SINGULAR_RTOL = 1e-10
 # negative eigenvalue, up to PSD_RTOL * (1 + ||M||_F) is accepted.
 PSD_RTOL = 1e-9
 
+# Relative tolerance tol of every solver certificate: a Riccati iteration
+# stops once successive iterates differ by at most tol (1 + ||P||_F), a
+# Lyapunov solution of P = W + A^T P A must leave a residual of at most
+# tol (||W||_F + (1 + ||A||_F^2) ||P||_F), and the doubling iteration stops
+# once its increment is at most tol/2 ||P||_F. The solvers read it at call
+# time.
+SOLVER_RTOL = 1e-12
+
 # Iteration budget of the doubling Lyapunov route and of the Riccati loop.
 MAX_ITER = 100_000
 
 # The epsilon of the one stability test rho < 1 - STABILITY_MARGIN, applied
 # by evaluate's spectral screen and by model.is_stabilizing alike.
 STABILITY_MARGIN = 1e-9
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Relative tolerance tol of every solver certificate: a Riccati
-    iteration stops once successive iterates differ by at most
-    tol * (1 + ||P||_F), a Lyapunov solution of P = W + A^T P A must leave
-    a residual of at most tol * (||W||_F + (1 + ||A||_F^2) ||P||_F), and
-    the doubling iteration stops once its increment is at most
-    tol/2 * ||P||_F. tol must be positive and finite. The iteration
-    budget and the stability margin are the module constants MAX_ITER and
-    STABILITY_MARGIN.
-    """
-
-    tol: float = 1e-12
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < math.inf:
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 def _as_matrix(M, name="matrix", square=False):
@@ -97,6 +84,13 @@ def _as_matrix(M, name="matrix", square=False):
     if not np.all(np.isfinite(M)):
         raise AssumptionViolated(f"{name} has non-finite entries")
     return M
+
+
+def _check_shape(M, name, shape):
+    """DimensionMismatch unless the matrix M has the shape its partners
+    give it."""
+    if M.shape != shape:
+        raise DimensionMismatch(f"{name} must be {shape[0]}x{shape[1]}, got {M.shape}")
 
 
 def _symmetrize(M):
@@ -210,7 +204,7 @@ def _solve_or_nan(a, b):
 _UNCONVERGED = "doubling Lyapunov iteration exhausted MAX_ITER"
 
 
-def _doubling_route(A, W, cfg):
+def _doubling_route(A, W):
     """Squaring iterations of P = W + A^T P A for stacks A and W of
     (N, n, n).
 
@@ -223,7 +217,7 @@ def _doubling_route(A, W, cfg):
     P, M = W.copy(), A.copy()
     out = np.empty(A.shape)
     live = np.arange(len(A))
-    half_tol = 0.5 * cfg.tol
+    half_tol = 0.5 * SOLVER_RTOL
     for _ in range(MAX_ITER):
         increment = M.swapaxes(-1, -2) @ P @ M
         P = _symmetrize(P + increment)
@@ -243,10 +237,10 @@ def _doubling_route(A, W, cfg):
     return out, live
 
 
-def _solve_dlyap_certified(A, W, cfg):
+def _solve_dlyap_certified(A, W):
     """Solutions of P = W + A^T P A over a stack, by the route of their
     size, each with its backward-error certificate
-    ||P - W - A^T P A||_F <= tol * (||W||_F + (1 + ||A||_F^2) ||P||_F).
+    ||P - W - A^T P A||_F <= SOLVER_RTOL * (||W||_F + (1 + ||A||_F^2) ||P||_F).
 
     A is (N, m, m), validated and known to be stable; W is a symmetric
     (N, m, m) stack. Returns the solutions, their residual matrices
@@ -258,13 +252,13 @@ def _solve_dlyap_certified(A, W, cfg):
     if A.shape[-1] <= KRON_DIM_LIMIT:
         P, unconverged = _kron_route(A, W), ()
     else:
-        P, unconverged = _doubling_route(A, W, cfg)
+        P, unconverged = _doubling_route(A, W)
     errors = {int(k): SolverDiverged(_UNCONVERGED) for k in unconverged}
     R = P - W - A.swapaxes(-1, -2) @ P @ A
     norms = _fro(P).tolist()
     slices = zip(_fro(R).tolist(), norms, _fro(W).tolist(), _fro(A).tolist())
     for k, (residual, norm, weight, a) in enumerate(slices):
-        if residual <= cfg.tol * (weight + (1.0 + a * a) * norm) < math.inf:
+        if residual <= SOLVER_RTOL * (weight + (1.0 + a * a) * norm) < math.inf:
             continue
         if math.isfinite(norm):
             exc = SolverDiverged(f"Lyapunov residual {residual} exceeds tolerance")
@@ -287,7 +281,7 @@ def lqr_gain(A, B, R, P):
     return np.linalg.solve(S, B.T @ P @ A)
 
 
-def _solve_dare(A, B, Q, R, cfg, equation):
+def _solve_dare(A, B, Q, R, equation):
     """Fixed-point iteration of the control Riccati equation on validated
     data, with the stabilizing-gain check; equation names it in errors."""
     P = Q.copy()
@@ -296,7 +290,7 @@ def _solve_dare(A, B, Q, R, cfg, equation):
         P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
         # The map residual at P equals the Riccati residual, so returning
         # the pre-update iterate certifies the equation directly.
-        if np.linalg.norm(P_next - P) <= cfg.tol * (1.0 + np.linalg.norm(P)):
+        if np.linalg.norm(P_next - P) <= SOLVER_RTOL * (1.0 + np.linalg.norm(P)):
             if spectral_radius(A - B @ gain) >= 1.0:
                 raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
             return P
@@ -304,20 +298,19 @@ def _solve_dare(A, B, Q, R, cfg, equation):
     raise SolverDiverged(f"{equation} Riccati iteration exhausted MAX_ITER")
 
 
-def solve_dare_control(A, B, Q, R, cfg=DEFAULT_CONFIG):
+def solve_dare_control(A, B, Q, R):
     """Stabilizing solution of the control Riccati equation.
 
     Fixed-point iteration on
         P <- Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A
     started from P = Q. The returned matrix satisfies the equation with
-    residual <= tol * (1 + ||P||_F) and yields a stable gain.
+    residual <= SOLVER_RTOL * (1 + ||P||_F) and yields a stable gain.
 
     Parameters
     ----------
     A : (n, n), B : (n, m), Q : (n, n) symmetric PSD, R : (m, m) symmetric PSD
         R may be singular provided R + B^T P B stays invertible along the
         iteration.
-    cfg : SolverConfig
 
     Raises
     ------
@@ -329,17 +322,19 @@ def solve_dare_control(A, B, Q, R, cfg=DEFAULT_CONFIG):
         If the iteration budget is exhausted or the gain is not stable.
     """
     A = _as_matrix(A, "A", square=True)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B = _as_matrix(B, "B")
     Q = _check_symmetric(_as_matrix(Q, "Q", square=True), "Q")
     R = _check_symmetric(_as_matrix(R, "R", square=True), "R")
+    _check_shape(Q, "Q", A.shape)
+    _check_shape(R, "R", (B.shape[1],) * 2)
     if not is_controllable(A, B):
         raise AssumptionViolated("(A, B) must be controllable")
     if not is_observable(psd_sqrt(Q), A):
         raise AssumptionViolated("(Q^{1/2}, A) must be observable")
-    return _solve_dare(A, B, Q, R, cfg, "control")
+    return _solve_dare(A, B, Q, R, "control")
 
 
-def solve_dare_filter(A, C, W, cfg=DEFAULT_CONFIG):
+def solve_dare_filter(A, C, W):
     """Stabilizing solution of the filter Riccati equation.
 
         Sigma = W + A Sigma A^T - A Sigma C^T (C Sigma C^T)^{-1} C Sigma A^T
@@ -351,7 +346,6 @@ def solve_dare_filter(A, C, W, cfg=DEFAULT_CONFIG):
     ----------
     A : (n, n), C : (d, n), W : (n, n) symmetric PSD
         The innovation C Sigma C^T must stay invertible along the iteration.
-    cfg : SolverConfig
 
     Raises
     ------
@@ -363,12 +357,13 @@ def solve_dare_filter(A, C, W, cfg=DEFAULT_CONFIG):
         If the iteration budget is exhausted or the gain is not stable.
     """
     A = _as_matrix(A, "A", square=True)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    C = _as_matrix(C, "C")
     W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
+    _check_shape(W, "W", A.shape)
     if not is_observable(C, A):
         raise AssumptionViolated("(C, A) must be observable")
     d = C.shape[0]
-    return _solve_dare(A.T, C.T, W, np.zeros((d, d)), cfg, "filter")
+    return _solve_dare(A.T, C.T, W, np.zeros((d, d)), "filter")
 
 
 def filter_gain(A, C, Sigma):
@@ -398,7 +393,8 @@ def is_controllable(A, B):
     """Kalman rank test for controllability of (A, B): the controllability
     matrix [B, AB, ..., A^{n-1}B] has full row rank."""
     A = _as_matrix(A, "A", square=True)
-    B = np.atleast_2d(np.asarray(B, dtype=float))
+    B = _as_matrix(B, "B")
+    _check_shape(B, "B", (A.shape[0], B.shape[1]))
     blocks = [B]
     for _ in range(A.shape[0] - 1):
         blocks.append(A @ blocks[-1])
@@ -408,5 +404,6 @@ def is_controllable(A, B):
 def is_observable(C, A):
     """Kalman rank test for observability of (C, A), by duality."""
     A = _as_matrix(A, "A", square=True)
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    C = _as_matrix(C, "C")
+    _check_shape(C, "C", (C.shape[0], A.shape[0]))
     return is_controllable(A.T, C.T)

@@ -17,7 +17,7 @@ from .errors import (
     OptimalTransformNotFound,
     SingularTransform,
 )
-from .matops import DEFAULT_CONFIG, _as_matrix, _check_psd, _is_singular
+from .matops import _as_matrix, _check_psd, _is_singular
 from .model import Controller, is_observable_controller
 
 # Scaled stationarity residual allowed for the returned optimal transform.
@@ -109,17 +109,17 @@ def g_hessian_form(report, Z):
     return float(2.0 * np.trace(report.P22 @ Z @ X22 @ Z.T))
 
 
-def transformed_cost(plant, controller, X, transform, cfg=DEFAULT_CONFIG, report=None):
+def transformed_cost(plant, controller, X, transform, report=None):
     """Cost of apply(controller, transform) against the same X.
 
     Reuses the base controller's cost report (computing it on demand), so
     sweeping many transforms costs one Lyapunov pair total."""
     if report is None:
-        report = evaluate(plant, controller, X, cfg)
+        report = evaluate(plant, controller, X)
     return g_surrogate(report, transform.T_inv)
 
 
-def optimal_transform(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
+def optimal_transform(plant, controller, X, report=None):
     """Minimizer T* of the cost over the similarity orbit of the controller.
 
     Solving grad g(H) = 0 gives H* = -P22^-1 P12^T X12 X22^-1 and
@@ -140,7 +140,7 @@ def optimal_transform(plant, controller, X, cfg=DEFAULT_CONFIG, report=None):
         stationarity postcondition.
     """
     if report is None:
-        report = evaluate(plant, controller, X, cfg)
+        report = evaluate(plant, controller, X)
     n = report.n
     X12 = report.X[:n, n:]
     X22 = report.X[n:, n:]

@@ -17,7 +17,6 @@ from .cost import evaluate
 from .errors import SingularInnovation, SingularX12
 from .gradient import analytic_gradient
 from .matops import (
-    DEFAULT_CONFIG,
     _check_psd,
     _is_singular,
     _symmetrize,
@@ -56,7 +55,7 @@ def _right_divide(M, D):
     return np.linalg.solve(D.T, M.T).T
 
 
-def stationary_candidate(plant, X, cfg=DEFAULT_CONFIG):
+def stationary_candidate(plant, X):
     """Construct the observable stationary controller for (plant, X).
 
     Parameters
@@ -84,20 +83,20 @@ def stationary_candidate(plant, X, cfg=DEFAULT_CONFIG):
     if _is_singular(X.X12):
         raise SingularX12("X12 is singular; no observable stationary point exists")
 
-    P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R, cfg)
+    P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
     K = lqr_gain(plant.A, plant.B, plant.R, P_hat)
 
     # Schur complement of X22 in X: the part of the plant-state second
     # moment not explained by the controller state.
     Delta_X = _symmetrize(X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T))
-    Sigma_hat = solve_dare_filter(plant.A, plant.C, Delta_X, cfg)
+    Sigma_hat = solve_dare_filter(plant.A, plant.C, Delta_X)
     L = filter_gain(plant.A, plant.C, Sigma_hat)
 
     K_dagger = observer_based(plant, K, L)
     T_star = Transform.from_matrix(_right_divide(X.X22, X.X12))
     K_star = apply(K_dagger, T_star)
-    report = evaluate(plant, K_star, X, cfg)
-    residuals = verify_stationary(plant, X, K_star, cfg, report=report)
+    report = evaluate(plant, K_star, X)
+    residuals = verify_stationary(plant, X, K_star, report=report)
     return StationaryCertificate(
         K_star=K_star,
         K_dagger=K_dagger,
@@ -120,7 +119,7 @@ def _guarded(compute):
         return float("inf")
 
 
-def verify_stationary(plant, X, candidate, cfg=DEFAULT_CONFIG, report=None):
+def verify_stationary(plant, X, candidate, report=None):
     """Residuals of every stationarity identity at a candidate controller.
 
     Returns
@@ -147,7 +146,7 @@ def verify_stationary(plant, X, candidate, cfg=DEFAULT_CONFIG, report=None):
     """
     X = as_second_moment(X, plant.n)
     if report is None:
-        report = evaluate(plant, candidate, X, cfg)
+        report = evaluate(plant, candidate, X)
     A, B, C = plant.A, plant.B, plant.C
     P12, P22 = report.P12, report.P22
     S11, S12, S22 = report.Sigma11, report.Sigma12, report.Sigma22
@@ -160,9 +159,7 @@ def verify_stationary(plant, X, candidate, cfg=DEFAULT_CONFIG, report=None):
         return float(np.linalg.norm(a + b) / scale)
 
     residuals = {
-        "gradient_norm": analytic_gradient(
-            plant, candidate, X, cfg, report=report
-        ).norm,
+        "gradient_norm": analytic_gradient(plant, candidate, X, report=report).norm,
         "coupling_sigma": coupling(S12, S22),
         "coupling_x": coupling(X.X12, X.X22),
     }

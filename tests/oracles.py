@@ -185,7 +185,7 @@ def random_invertible(rng, n, min_sv=0.1):
             return T
 
 
-def _fd_coordinate(plant, controller, X, mats, key, idx, base, cfg):
+def _fd_coordinate(plant, controller, X, mats, key, idx, base):
     # Central difference in one coordinate, shrinking the step if a
     # perturbation exits the stabilizing set.
     h = base
@@ -196,7 +196,7 @@ def _fd_coordinate(plant, controller, X, mats, key, idx, base, cfg):
                 shifted = {k: v.copy() for k, v in mats.items()}
                 shifted[key][idx] += sign * h
                 probe = Controller(**shifted)
-                vals.append(dlqr.evaluate(plant, probe, X, cfg).J)
+                vals.append(dlqr.evaluate(plant, probe, X).J)
             return (vals[0] - vals[1]) / (2.0 * h)
         except NotStabilizing:
             h *= 0.5
@@ -205,7 +205,7 @@ def _fd_coordinate(plant, controller, X, mats, key, idx, base, cfg):
     )
 
 
-def finite_difference_oracle(plant, controller, X, step=1e-6, cfg=dlqr.DEFAULT_CONFIG):
+def finite_difference_oracle(plant, controller, X, step=1e-6):
     """Central-difference gradient, coordinate by coordinate, one evaluate
     per probe: the reference for dlqr.finite_difference_gradient.
 
@@ -213,13 +213,13 @@ def finite_difference_oracle(plant, controller, X, step=1e-6, cfg=dlqr.DEFAULT_C
     the stability boundary the step is halved (up to 20 times) until both
     one-sided evaluations stay stabilizing.
     """
-    dlqr.evaluate(plant, controller, X, cfg)  # fail fast at the base point
+    dlqr.evaluate(plant, controller, X)  # fail fast at the base point
     mats = {"A_K": controller.A_K, "B_K": controller.B_K, "C_K": controller.C_K}
     grads = {}
     for key, M in mats.items():
         G = np.zeros_like(M)
         for idx in np.ndindex(M.shape):
             h = step * (1.0 + abs(M[idx]))
-            G[idx] = _fd_coordinate(plant, controller, X, mats, key, idx, h, cfg)
+            G[idx] = _fd_coordinate(plant, controller, X, mats, key, idx, h)
         grads[key] = G
     return dlqr.GradientTriple(dA_K=grads["A_K"], dB_K=grads["B_K"], dC_K=grads["C_K"])

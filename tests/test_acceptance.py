@@ -14,7 +14,7 @@ import pytest
 
 import dlqr
 from dlqr.cli import main
-from dlqr.matops import DEFAULT_CONFIG, _doubling_route, _kron_route
+from dlqr.matops import _doubling_route, _kron_route
 
 from conftest import EX1, EX2, CROSS_X, problem_dict
 from oracles import (
@@ -269,7 +269,7 @@ def _route_gap(A, W):
     """Largest entry gap between the Kronecker and the doubling solution of
     P = W + A^T P A."""
     P_kron = _kron_route(A[None], W[None])[0]
-    P_doubling, unconverged = _doubling_route(A[None], W[None], DEFAULT_CONFIG)
+    P_doubling, unconverged = _doubling_route(A[None], W[None])
     assert len(unconverged) == 0
     return float(np.max(np.abs(P_kron - P_doubling[0])))
 

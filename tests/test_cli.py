@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dlqr
-from dlqr import cli
+from dlqr import cli, matops
 from dlqr.cli import main
 
 from conftest import problem_dict, wire
@@ -104,8 +104,6 @@ def test_eval_overflowing_closed_loop_exits_5(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flag, field",
     [
-        ("eval", "--tol", "tol"),
-        ("descend", "--tol", "tol"),
         ("descend", "--step0", "step0"),
         ("descend", "--grad-tol", "grad_tol"),
     ],
@@ -114,6 +112,13 @@ def test_eval_overflowing_closed_loop_exits_5(tmp_path, capsys):
 def test_non_finite_settings_exit_3(ex1_problem_file, capsys, command, flag, field, value):
     assert main([command, "--problem", ex1_problem_file, f"{flag}={value}"]) == 3
     assert f"{field} must be positive and finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "stationary", "landscape", "descend"])
+def test_solver_commands_take_no_tolerance(ex1_problem_file, capsys, command):
+    # their certificates are judged to matops.SOLVER_RTOL; --tol is gradcheck's
+    assert main([command, "--problem", ex1_problem_file, "--tol", "1e-12"]) == 3
+    assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
 
 def test_eval_without_any_controller_exits_3(tmp_path):
@@ -301,7 +306,7 @@ def test_landscape_matrix_entry_addressing(tmp_path):
     assert main(args[:3] + ["--sweep", "B_K=0:1:3", "--out", str(out)]) == 3
 
 
-def landscape_oracle(plant, X, axes, cfg=dlqr.DEFAULT_CONFIG, **fixed):
+def landscape_oracle(plant, X, axes, **fixed):
     """CSV text of a landscape sweep, one evaluate per cell: axes lists
     (name, values) pairs over scalar controller entries, fixed gives the
     other entries. Raises what the first failing cell raises."""
@@ -314,7 +319,7 @@ def landscape_oracle(plant, X, axes, cfg=dlqr.DEFAULT_CONFIG, **fixed):
             entries = dict(fixed)
             entries.update({name: v for (name, _), v in zip(axes, values)})
             try:
-                report = dlqr.evaluate(plant, dlqr.Controller(**entries), X, cfg)
+                report = dlqr.evaluate(plant, dlqr.Controller(**entries), X)
                 J, stable, rho = f"{report.J:.17g}", 1, report.rho
             except dlqr.NotStabilizing as exc:
                 J, stable, rho = "", 0, exc.rho
@@ -351,20 +356,20 @@ def test_landscape_two_axis_bytes_match_per_cell_evaluate(
 
 
 def test_landscape_solver_failure_reports_first_failing_cell(
-    ex1_problem_file, ex1_plant, cross_X, tmp_path, capsys
+    ex1_problem_file, ex1_plant, cross_X, tmp_path, capsys, monkeypatch
 ):
     # at this tolerance the certificates of stable cells fail on rounding,
     # each with its own residual; the grid opens on an unstable cell, and
     # the command must fail on the first failing cell in sweep order
+    monkeypatch.setattr(matops, "SOLVER_RTOL", 1e-20)
     argv = ["landscape", "--problem", ex1_problem_file, "--sweep", "C_K=-0.3:-0.1:5",
-            "--sweep", "B_K=0.5:3:6", "--fix", "A_K=-0.944", "--tol", "1e-20",
+            "--sweep", "B_K=0.5:3:6", "--fix", "A_K=-0.944",
             "--out", str(tmp_path / "grid.csv")]
     capsys.readouterr()
     assert main(argv) == 5
     axes = [("C_K", np.linspace(-0.3, -0.1, 5)), ("B_K", np.linspace(0.5, 3, 6))]
-    cfg = dlqr.SolverConfig(tol=1e-20)
     with pytest.raises(dlqr.SolverDiverged) as exc:
-        landscape_oracle(ex1_plant, cross_X, axes, cfg, A_K=-0.944)
+        landscape_oracle(ex1_plant, cross_X, axes, A_K=-0.944)
     assert capsys.readouterr().err == f"dlqr: check failed: {exc.value}\n"
     assert not (tmp_path / "grid.csv").exists()
 
@@ -653,5 +658,5 @@ def test_descend_help_keeps_flag_spellings(capsys):
     assert main(["descend", "--help"]) == 0
     out = capsys.readouterr().out
     for flag in ("--step0 STEP0", "--backtrack BACKTRACK", "--armijo ARMIJO",
-                 "--max-iter MAX_ITER", "--grad-tol GRAD_TOL", "--tol TOL"):
+                 "--max-iter MAX_ITER", "--grad-tol GRAD_TOL"):
         assert flag in out

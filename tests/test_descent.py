@@ -125,8 +125,8 @@ def test_descend_rejects_jump_that_raises_cost(ex1_plant, cross_X, monkeypatch):
     # H = T^-1 a thousand times the orbit optimum puts the quadratic term
     # of the orbit cost far above any candidate's J, so every jump must be
     # dropped in favour of the line-search candidate
-    def worse_transform(plant, controller, X, cfg, report):
-        best = dlqr.optimal_transform(plant, controller, X, cfg, report=report)
+    def worse_transform(plant, controller, X, report):
+        best = dlqr.optimal_transform(plant, controller, X, report=report)
         return dlqr.Transform.from_matrix(1e-3 * best.T)
 
     monkeypatch.setattr(descent_mod, "optimal_transform", worse_transform)

@@ -212,17 +212,17 @@ def _inject(monkeypatch, probes):
     def message(triple):
         return f"injected at {tuple(float(v) for v in triple)}"
 
-    def stacked(plant, gains, X, cfg):
-        J, rho, errors = original_costs(plant, gains, X, cfg)
+    def stacked(plant, gains, X):
+        J, rho, errors = original_costs(plant, gains, X)
         for k in range(len(gains.A_K)):
             triple = (gains.A_K[k, 0, 0], gains.B_K[k, 0, 0], gains.C_K[k, 0, 0])
             if triple in probes and k not in errors:
                 errors[k] = SolverDiverged(message(triple))
         return J, rho, errors
 
-    def evaluate(plant, controller, X, cfg=dlqr.DEFAULT_CONFIG):
+    def evaluate(plant, controller, X):
         triple = (controller.A_K[0, 0], controller.B_K[0, 0], controller.C_K[0, 0])
-        report = original_evaluate(plant, controller, X, cfg)
+        report = original_evaluate(plant, controller, X)
         if triple in probes:
             raise SolverDiverged(message(triple))
         return report

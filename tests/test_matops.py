@@ -4,13 +4,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dlqr import (
     AssumptionViolated,
+    DimensionMismatch,
     NonSquare,
     OptimalTransformNotFound,
     Plant,
     SingularInnovation,
     SingularTransform,
     SingularX12,
-    SolverConfig,
     SolverDiverged,
     Transform,
     filter_gain,
@@ -28,7 +28,6 @@ from dlqr import (
 )
 from dlqr import matops
 from dlqr.matops import (
-    DEFAULT_CONFIG,
     KRON_DIM_LIMIT,
     _doubling_route,
     _kron_route,
@@ -67,14 +66,14 @@ def _kron(A, W):
 
 
 def _doubling(A, W):
-    P, unconverged = _doubling_route(A[None], W[None], DEFAULT_CONFIG)
+    P, unconverged = _doubling_route(A[None], W[None])
     assert len(unconverged) == 0
     return P[0]
 
 
-def _certified(A, W, cfg=DEFAULT_CONFIG):
+def _certified(A, W):
     """The certified solve of one P = W + A^T P A; raises its failure."""
-    P, _, _, errors = _solve_dlyap_certified(A[None], W[None], cfg)
+    P, _, _, errors = _solve_dlyap_certified(A[None], W[None])
     if errors:
         raise errors[0]
     return P[0]
@@ -333,23 +332,51 @@ def test_controllability_and_observability_predicates():
     assert not is_observable(np.array([[1.0, 0.0]]), np.eye(2))
 
 
+def test_riccati_and_kalman_entry_points_reject_mismatched_shapes():
+    # a 1x1 R used to be broadcast against a two-input B
+    with pytest.raises(DimensionMismatch, match=r"^R must be 2x2, got \(1, 1\)$"):
+        solve_dare_control(0.5, [[1.0, 2.0]], 1.0, 1.0)
+    A = np.diag([0.5, 0.4])
+    with pytest.raises(DimensionMismatch, match=r"^B must be 2x1, got \(3, 1\)$"):
+        solve_dare_control(A, np.ones((3, 1)), np.eye(2), 1.0)
+    with pytest.raises(DimensionMismatch, match=r"^Q must be 2x2, got \(3, 3\)$"):
+        solve_dare_control(A, np.ones((2, 1)), np.eye(3), 1.0)
+    with pytest.raises(DimensionMismatch, match=r"^C must be 1x2, got \(1, 3\)$"):
+        solve_dare_filter(A, np.ones((1, 3)), np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"^W must be 2x2, got \(3, 3\)$"):
+        solve_dare_filter(A, np.ones((1, 2)), np.eye(3))
+    with pytest.raises(DimensionMismatch, match=r"^B must be 2x1, got \(3, 1\)$"):
+        is_controllable(A, np.ones((3, 1)))
+    with pytest.raises(DimensionMismatch, match=r"^C must be 1x2, got \(1, 3\)$"):
+        is_observable(np.ones((1, 3)), A)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("B", lambda bad: solve_dare_control(0.5, bad, 1.0, 1.0)),
+        ("C", lambda bad: solve_dare_filter(0.5, bad, 1.0)),
+        ("B", lambda bad: is_controllable(0.5, bad)),
+        ("C", lambda bad: is_observable(bad, 0.5)),
+    ],
+)
+def test_riccati_and_kalman_entry_points_reject_non_finite_inputs(name, call):
+    # a NaN used to reach the rank test's SVD, which raised an untyped
+    # LinAlgError
+    with pytest.raises(AssumptionViolated, match=f"^{name} has non-finite entries$"):
+        call([[np.nan]])
+
+
 def test_has_full_row_rank():
     assert has_full_row_rank(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert not has_full_row_rank(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert not has_full_row_rank(np.zeros((1, 2)))
 
 
-def test_solver_config_validation():
-    for tol in (0.0, -1e-12, np.inf, np.nan):
-        with pytest.raises(ValueError, match="^tol must be positive and finite"):
-            SolverConfig(tol=tol)
-    assert SolverConfig(tol=1e-10).tol == 1e-10
-
-
 def test_dlyap_doubling_exhausts_budget(monkeypatch):
     monkeypatch.setattr(matops, "MAX_ITER", 2)
     A = np.eye(3) * 0.999
-    _, unconverged = _doubling_route(A[None], np.eye(3)[None], DEFAULT_CONFIG)
+    _, unconverged = _doubling_route(A[None], np.eye(3)[None])
     assert unconverged.tolist() == [0]
     m = KRON_DIM_LIMIT + 2
     with pytest.raises(SolverDiverged, match="exhausted MAX_ITER"):

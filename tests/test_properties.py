@@ -3,22 +3,21 @@ closed loops of size 2 to 16 cross the Kronecker/doubling switch.
 
 Each example draws a plant from a seed, the observer-based controller of
 its two Riccati gains (stabilizing by separation) and a random X > 0. The
-backward-error certificate must hold for both Lyapunov routes and still
-reject a solution scaled by 1 + 1e-8; J_error must cover both the gap
-between the two trace forms and J's distance to an extended-precision
-sum; the cost must be invariant under a similarity transform of the
+backward-error certificate must hold for both Lyapunov routes and reject
+a solution scaled by 1 + delta, for delta 100 times the certificate's
+resolution; J_error must cover both the gap between the two trace forms
+and J's distance to an extended-precision sum; the cost must be invariant under a similarity transform of the
 controller state that carries X along, and transformed_cost must match
 evaluate on the transformed controller."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dlqr
 from dlqr import matops
 from dlqr.matops import (
-    DEFAULT_CONFIG,
     KRON_DIM_LIMIT,
     _doubling_route,
     _kron_route,
@@ -60,9 +59,9 @@ def _fro(M):
     return float(np.linalg.norm(M))
 
 
-def _backward_bound(A, W, P, tol=DEFAULT_CONFIG.tol):
-    """The certificate's bound tol (||W|| + (1 + ||A||^2) ||P||)."""
-    return tol * (_fro(W) + (1.0 + _fro(A) ** 2) * _fro(P))
+def _backward_bound(A, W, P):
+    """The certificate's bound SOLVER_RTOL (||W|| + (1 + ||A||^2) ||P||)."""
+    return matops.SOLVER_RTOL * (_fro(W) + (1.0 + _fro(A) ** 2) * _fro(P))
 
 
 def test_orders_cross_the_route_switch():
@@ -78,7 +77,7 @@ def test_routes_agree_within_the_certificate(seed, n):
     plant, controller, _, _ = _instance(seed, n)
     A, W = _loop(plant, controller)
     P_kron = _kron_route(A[None], W[None])[0]
-    P_doubling, unconverged = _doubling_route(A[None], W[None], DEFAULT_CONFIG)
+    P_doubling, unconverged = _doubling_route(A[None], W[None])
     P_doubling = P_doubling[0]
     assert len(unconverged) == 0
     bounds = []
@@ -92,26 +91,41 @@ def test_routes_agree_within_the_certificate(seed, n):
     assert _fro(P_kron - P_doubling) <= inverse_norm * sum(bounds)
 
 
+def _errors_when_scaled(stack, scales):
+    """The certificate's failures on the stack when its route returns each
+    slice's solution times that slice's entry of scales."""
+    kron, doubling = matops._kron_route, matops._doubling_route
+    s = np.asarray(scales)[:, None, None]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matops, "_kron_route", lambda A, W: s * kron(A, W))
+        mp.setattr(matops, "_doubling_route", lambda A, W: (s * doubling(A, W)[0], ()))
+        return _solve_dlyap_certified(*stack)[3]
+
+
 @PROPERTY
-@given(seed=SEEDS, n=ORDERS, scale=st.sampled_from([1.0 + 1e-8, 1.0 - 1e-8]))
-def test_certificate_rejects_a_scaled_solution(seed, n, scale):
-    # the relative bound still catches a solution off by 1e-8, on the route
-    # of the loop's size
+@given(seed=SEEDS, n=ORDERS, sign=st.sampled_from([1.0, -1.0]))
+# rho = 0.559 but ||A_cl||_F = 44.3 and ||P|| / ||W|| = 5519: P's
+# resolution is 1.1e-5, far above a scaling by 1e-8
+@example(seed=3784211, n=2, sign=1.0)
+def test_certificate_rejects_a_scaled_solution(seed, n, sign):
+    # P scaled by 1 + delta leaves the residual delta W plus its own
+    # rounding, so the certificate resolves delta down to its bound over
+    # ||W||, the slice's resolution: it must reject 100 times that on the
+    # route of the loop's size, and 1e-8 on every slice resolved below 1e-9
     plant, controller, X, _ = _instance(seed, n)
     A, W = _loop(plant, controller)
     stack = np.stack([A, A.T]), np.stack([W, X])
-    assert not _solve_dlyap_certified(*stack, DEFAULT_CONFIG)[3]
-    kron, doubling = matops._kron_route, matops._doubling_route
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matops, "_kron_route", lambda A, W: scale * kron(A, W))
-        mp.setattr(
-            matops,
-            "_doubling_route",
-            lambda A, W, cfg: (scale * doubling(A, W, cfg)[0], ()),
-        )
-        errors = _solve_dlyap_certified(*stack, DEFAULT_CONFIG)[3]
+    solutions, _, _, errors = _solve_dlyap_certified(*stack)
+    assert not errors
+    resolution = np.array(
+        [_backward_bound(a, w, p) / _fro(w) for a, w, p in zip(*stack, solutions)]
+    )
+    errors = _errors_when_scaled(stack, 1.0 + sign * 100.0 * resolution)
     assert sorted(errors) == [0, 1]
     assert all("Lyapunov residual" in str(exc) for exc in errors.values())
+    fine = np.flatnonzero(resolution < 1e-9).tolist()
+    errors = _errors_when_scaled(stack, np.full(2, 1.0 + sign * 1e-8))
+    assert set(fine) <= set(errors)
 
 
 @PROPERTY

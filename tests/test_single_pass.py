@@ -15,7 +15,6 @@ from dlqr import cost as cost_mod
 from dlqr import descent as descent_mod
 from dlqr.cli import main
 from dlqr.matops import (
-    DEFAULT_CONFIG,
     KRON_DIM_LIMIT,
     _kron_route,
     _solve_dlyap_certified,
@@ -46,10 +45,8 @@ def test_evaluate_pair_is_bit_identical_to_public_solvers(n):
     loop = dlqr.assemble(plant, controller)
     # the certified kernel on the one loop: P on A_cl, Sigma on A_cl^T
     W = _symmetrize(loop.W_cl)
-    P, _, _, errors = _solve_dlyap_certified(loop.A_cl[None], W[None], DEFAULT_CONFIG)
-    Sigma, _, _, sigma_errors = _solve_dlyap_certified(
-        loop.A_cl.T[None], X[None], DEFAULT_CONFIG
-    )
+    P, _, _, errors = _solve_dlyap_certified(loop.A_cl[None], W[None])
+    Sigma, _, _, sigma_errors = _solve_dlyap_certified(loop.A_cl.T[None], X[None])
     assert not errors and not sigma_errors
     assert report.P.tobytes() == P[0].tobytes()
     assert report.Sigma.tobytes() == Sigma[0].tobytes()

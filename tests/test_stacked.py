@@ -11,7 +11,7 @@ from dlqr import NotStabilizing
 from dlqr import cost as cost_mod
 from dlqr import matops
 from dlqr.cost import _closed_loop_pass, _Gains, _stacked_costs
-from dlqr.matops import DEFAULT_CONFIG, KRON_DIM_LIMIT
+from dlqr.matops import KRON_DIM_LIMIT
 
 from oracles import random_pd_second_moment, random_plant_arrays
 
@@ -64,12 +64,12 @@ def test_slices_are_bit_identical_to_evaluate(n, monkeypatch):
     solved = []
     original = cost_mod._solve_dlyap_certified
 
-    def recording(A, W, cfg):
+    def recording(A, W):
         solved.append(len(A))
-        return original(A, W, cfg)
+        return original(A, W)
 
     monkeypatch.setattr(cost_mod, "_solve_dlyap_certified", recording)
-    out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+    out = _closed_loop_pass(plant, gains, X)
     monkeypatch.undo()
 
     stable = 0
@@ -101,7 +101,7 @@ def test_all_unstable_stack_makes_no_lyapunov_solve(monkeypatch):
     unstable = _Gains(*(g[1::3] for g in gains))
     calls = []
     monkeypatch.setattr(cost_mod, "_solve_dlyap_certified", lambda *a: calls.append(a))
-    out = _closed_loop_pass(plant, unstable, X, DEFAULT_CONFIG)
+    out = _closed_loop_pass(plant, unstable, X)
     assert calls == []
     assert sorted(out.errors) == list(range(len(unstable.A_K)))
     assert np.all(np.isnan(out.J)) and np.all(out.rho >= 1.0)
@@ -111,11 +111,11 @@ def test_all_unstable_stack_makes_no_lyapunov_solve(monkeypatch):
 def test_results_do_not_depend_on_the_chunk_size(n, monkeypatch):
     plant, controller, X, rng = _instance(n, seed=1)
     _, gains = _mixed_stack(plant, controller, rng, count=9)
-    J, rho, errors = _stacked_costs(plant, gains, X, DEFAULT_CONFIG)
+    J, rho, errors = _stacked_costs(plant, gains, X)
     grad = dlqr.finite_difference_gradient(plant, controller, X)
     # a budget below one slice's arrays: every chunk holds one slice
     monkeypatch.setattr(cost_mod, "_STACK_BYTES", 1)
-    J1, rho1, errors1 = _stacked_costs(plant, gains, X, DEFAULT_CONFIG)
+    J1, rho1, errors1 = _stacked_costs(plant, gains, X)
     grad1 = dlqr.finite_difference_gradient(plant, controller, X)
     ok = [k for k in range(len(J)) if k not in errors]
     assert J[ok].tobytes() == J1[ok].tobytes()
@@ -148,12 +148,12 @@ def test_doubling_slices_stop_on_their_own_rule(monkeypatch):
         return original(M)
 
     monkeypatch.setattr(matops, "_fro", recording)
-    P, unconverged = matops._doubling_route(np.stack(A), np.stack(W), DEFAULT_CONFIG)
+    P, unconverged = matops._doubling_route(np.stack(A), np.stack(W))
     monkeypatch.undo()
     assert len(unconverged) == 0
     assert sizes[0] == 3 and sizes[-1] == 1 and sizes == sorted(sizes, reverse=True)
     for k in range(3):
-        alone, _ = matops._doubling_route(A[k][None], W[k][None], DEFAULT_CONFIG)
+        alone, _ = matops._doubling_route(A[k][None], W[k][None])
         assert P[k].tobytes() == alone[0].tobytes()
 
 
@@ -162,7 +162,7 @@ def test_certificate_failures_keep_evaluate_order(monkeypatch):
     plant, controller, X, rng = _instance(2)
     _, gains = _mixed_stack(plant, controller, rng)
     monkeypatch.setattr(cost_mod, "_min_eig", lambda M: np.full(len(M), -1.0))
-    out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+    out = _closed_loop_pass(plant, gains, X)
     stable = [k for k in range(len(gains.A_K)) if not isinstance(out.errors[k], NotStabilizing)]
     assert stable
     assert {str(out.errors[k]) for k in stable} == {"P is not positive semidefinite"}
@@ -182,7 +182,7 @@ def test_an_overflowing_slice_fails_alone():
     ]
     gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
     with np.errstate(all="ignore"):
-        out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+        out = _closed_loop_pass(plant, gains, X)
     assert float(out.rho[1]) < 1.0
     assert list(out.errors) == [1]
     assert isinstance(out.errors[1], dlqr.SolverDiverged)
@@ -211,7 +211,7 @@ def test_an_overflowing_closed_loop_fails_alone(B, bad, matrix):
         k_bad, k_good = controllers.index(bad), controllers.index(good)
         gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
         with np.errstate(all="ignore"):
-            out = _closed_loop_pass(plant, gains, X, DEFAULT_CONFIG)
+            out = _closed_loop_pass(plant, gains, X)
         assert list(out.errors) == [k_bad]
         exc = out.errors[k_bad]
         assert isinstance(exc, dlqr.SolverDiverged)
