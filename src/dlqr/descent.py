@@ -45,8 +45,8 @@ from .errors import (
 )
 from .gradient import analytic_gradient
 from .matops import (
-    filter_gain,
-    lqr_gain,
+    _filter_gain,
+    _lqr_gain,
     solve_dare_control,
     solve_dare_filter,
 )
@@ -331,9 +331,9 @@ def random_stabilizing_init(plant, seed):
     """
     rng = np.random.default_rng(seed)
     P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K0 = lqr_gain(plant.A, plant.B, plant.R, P_hat)
+    K0 = _lqr_gain(plant.A, plant.B, plant.R, P_hat)
     Sigma_hat = solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
-    L0 = filter_gain(plant.A, plant.C, Sigma_hat)
+    L0 = _filter_gain(plant.A, plant.C, Sigma_hat)
     for attempt in range(MAX_INIT_ATTEMPTS):
         scale = INIT_NOISE_SCALE * 0.5 ** (attempt // INIT_HALVE_EVERY)
         K = K0 + scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))

@@ -4,13 +4,16 @@ The gradient of J with respect to (A_K, B_K, C_K) has a closed form in
 the blocks of the Lyapunov pair (P, Sigma) of the current closed loop.
 A central finite-difference gradient is provided for cross-checking; it
 evaluates the probes of all coordinates in batched passes through the
-stacked closed-loop pass of the cost module."""
+stacked closed-loop pass of the cost module. The passes are screened from
+the certified base point: a probe whose spectral radius and PSD margins
+the base pair's bounds clear takes no eigen-decomposition, and every other
+probe is judged as evaluate judges it."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import _Gains, _stacked_costs, evaluate
+from .cost import _Gains, _probe_base, _stacked_costs, evaluate
 from .errors import NotStabilizing
 from .model import Controller, as_second_moment, controller_to_vector
 
@@ -101,14 +104,17 @@ def finite_difference_gradient(plant, controller, X, step=1e-6):
     not stabilizing halves its step and goes into the next pass. A solver
     failure of the probe so decided, or running out of halvings, raises;
     errors are resolved in coordinate order, so the exception is that of
-    the first coordinate that fails. The result is bit-identical to
-    evaluating the probes one by one. A step that is not positive and
-    finite raises ValueError.
+    the first coordinate that fails. The base point's cost report screens
+    the probes (see cost._probe_base), and the result is bit-identical to
+    evaluating them one by one. A step that is not positive and finite
+    raises ValueError.
     """
     if not (np.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive and finite, got {step}")
-    evaluate(plant, controller, X)  # fail fast at the base point
-    X = as_second_moment(X, plant.n).X
+    X = as_second_moment(X, plant.n)
+    report = evaluate(plant, controller, X)  # fail fast at the base point
+    base = _probe_base(plant, controller, report)
+    X = X.X
     theta = controller_to_vector(controller)
     splits = np.cumsum([controller.A_K.size, controller.B_K.size])
     shapes = (controller.A_K.shape, controller.B_K.shape, controller.C_K.shape)
@@ -128,7 +134,7 @@ def finite_difference_gradient(plant, controller, X, step=1e-6):
                 for block, shape in zip(np.split(probes, splits, axis=1), shapes)
             )
         )
-        J, _, errors = _stacked_costs(plant, gains, X)
+        J, _, errors = _stacked_costs(plant, gains, X, base)
         halve = []
         for j, c in enumerate(open_):
             exc = errors.get(j, errors.get(q + j))  # +h is decided before -h

@@ -268,17 +268,27 @@ def _solve_dlyap_certified(A, W):
     return P, R, norms, errors
 
 
-def lqr_gain(A, B, R, P):
-    """State-feedback gain (R + B^T P B)^{-1} B^T P A for a given value
-    matrix; SingularInnovation if the innovation R + B^T P B is singular."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    P = np.atleast_2d(np.asarray(P, dtype=float))
+def _lqr_gain(A, B, R, P):
+    """lqr_gain on arrays of agreeing shapes, unchecked: the Riccati loop
+    and the pipeline's gains call it on data already validated."""
     S = R + B.T @ P @ B
     if _is_singular(S):
         raise SingularInnovation("innovation R + B^T P B is numerically singular")
     return np.linalg.solve(S, B.T @ P @ A)
+
+
+def lqr_gain(A, B, R, P):
+    """State-feedback gain (R + B^T P B)^{-1} B^T P A for a given value
+    matrix. With B of shape (n, m), A and P must be n x n and R m x m, else
+    DimensionMismatch; a non-finite entry raises AssumptionViolated, and a
+    singular innovation R + B^T P B SingularInnovation."""
+    B = _as_matrix(B, "B")
+    n, m = B.shape
+    A, R, P = _as_matrix(A, "A"), _as_matrix(R, "R"), _as_matrix(P, "P")
+    _check_shape(A, "A", (n, n))
+    _check_shape(R, "R", (m, m))
+    _check_shape(P, "P", (n, n))
+    return _lqr_gain(A, B, R, P)
 
 
 def _solve_dare(A, B, Q, R, equation):
@@ -286,7 +296,7 @@ def _solve_dare(A, B, Q, R, equation):
     data, with the stabilizing-gain check; equation names it in errors."""
     P = Q.copy()
     for _ in range(MAX_ITER):
-        gain = lqr_gain(A, B, R, P)
+        gain = _lqr_gain(A, B, R, P)
         P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
         # The map residual at P equals the Riccati residual, so returning
         # the pre-update iterate certifies the equation directly.
@@ -366,13 +376,23 @@ def solve_dare_filter(A, C, W):
     return _solve_dare(A.T, C.T, W, np.zeros((d, d)), "filter")
 
 
+def _filter_gain(A, C, Sigma):
+    """filter_gain on arrays of agreeing shapes, unchecked."""
+    return _lqr_gain(A.T, C.T, 0.0, Sigma).T
+
+
 def filter_gain(A, C, Sigma):
     """Observer gain A Sigma C^T (C Sigma C^T)^{-1} for a given correlation:
     the transposed control gain of the dual data (A^T, C^T, R = 0), which
-    raises SingularInnovation if C Sigma C^T is singular."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    return lqr_gain(A.T, C.T, 0.0, Sigma).T
+    raises SingularInnovation if C Sigma C^T is singular. With C of shape
+    (d, n), A and Sigma must be n x n, else DimensionMismatch; a non-finite
+    entry raises AssumptionViolated."""
+    C = _as_matrix(C, "C")
+    n = C.shape[1]
+    A, Sigma = _as_matrix(A, "A"), _as_matrix(Sigma, "Sigma")
+    _check_shape(A, "A", (n, n))
+    _check_shape(Sigma, "Sigma", (n, n))
+    return _filter_gain(A, C, Sigma)
 
 
 def psd_sqrt(M):

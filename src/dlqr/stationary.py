@@ -18,10 +18,10 @@ from .errors import SingularInnovation, SingularX12
 from .gradient import analytic_gradient
 from .matops import (
     _check_psd,
+    _filter_gain,
     _is_singular,
+    _lqr_gain,
     _symmetrize,
-    filter_gain,
-    lqr_gain,
     solve_dare_control,
     solve_dare_filter,
 )
@@ -84,13 +84,13 @@ def stationary_candidate(plant, X):
         raise SingularX12("X12 is singular; no observable stationary point exists")
 
     P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K = lqr_gain(plant.A, plant.B, plant.R, P_hat)
+    K = _lqr_gain(plant.A, plant.B, plant.R, P_hat)
 
     # Schur complement of X22 in X: the part of the plant-state second
     # moment not explained by the controller state.
     Delta_X = _symmetrize(X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T))
     Sigma_hat = solve_dare_filter(plant.A, plant.C, Delta_X)
-    L = filter_gain(plant.A, plant.C, Sigma_hat)
+    L = _filter_gain(plant.A, plant.C, Sigma_hat)
 
     K_dagger = observer_based(plant, K, L)
     T_star = Transform.from_matrix(_right_divide(X.X22, X.X12))
@@ -167,8 +167,8 @@ def verify_stationary(plant, X, candidate, report=None):
     def frozen_conditions():
         P_schur = report.P11 - P12 @ np.linalg.solve(P22, P12.T)
         S_schur = S11 - S12 @ np.linalg.solve(S22, S12.T)
-        K_hat = lqr_gain(A, B, plant.R, P_schur)
-        L_hat = filter_gain(A, C, S_schur)
+        K_hat = _lqr_gain(A, B, plant.R, P_schur)
+        L_hat = _filter_gain(A, C, S_schur)
         shift = np.linalg.solve(P22, P12.T)
         mix = S12 @ np.linalg.solve(S22, np.eye(plant.n))
         return {

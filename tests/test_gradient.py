@@ -5,7 +5,12 @@ import dlqr
 from dlqr import Controller, NotStabilizing, SolverDiverged
 from dlqr import gradient as gradient_mod
 
-from oracles import finite_difference_oracle, random_pd_second_moment, random_plant_arrays
+from oracles import (
+    draw_plant,
+    finite_difference_oracle,
+    random_pd_second_moment,
+    random_plant_arrays,
+)
 
 
 def stacked_diff(ga, gf):
@@ -212,8 +217,8 @@ def _inject(monkeypatch, probes):
     def message(triple):
         return f"injected at {tuple(float(v) for v in triple)}"
 
-    def stacked(plant, gains, X):
-        J, rho, errors = original_costs(plant, gains, X)
+    def stacked(plant, gains, X, base=None):
+        J, rho, errors = original_costs(plant, gains, X, base)
         for k in range(len(gains.A_K)):
             triple = (gains.A_K[k, 0, 0], gains.B_K[k, 0, 0], gains.C_K[k, 0, 0])
             if triple in probes and k not in errors:
@@ -260,3 +265,67 @@ def test_solver_failures_raise_in_coordinate_order(ex1_plant, rounded_k1, cross_
     batched = _raised(lambda: dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X))
     loop = _raised(lambda: finite_difference_oracle(ex1_plant, rounded_k1, cross_X))
     assert batched == loop == (SolverDiverged, f"injected at {(a, b + step(b), c)}")
+
+
+def _observer_instance(arrays):
+    """The plant of arrays with the observer-based controller of its
+    Riccati gains, the filter gain for unit process noise."""
+    plant = dlqr.Plant(**arrays)
+    P = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
+    Sigma = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
+    K = dlqr.lqr_gain(plant.A, plant.B, plant.R, P)
+    L = dlqr.filter_gain(plant.A, plant.C, Sigma)
+    return plant, dlqr.observer_based(plant, K, L)
+
+
+def test_probes_cleared_from_the_base_need_no_eigen_decomposition(monkeypatch):
+    # generated-certify's first 6-state plant at seed 1: the base evaluate
+    # takes one eigvals and one eigvalsh (X is validated beforehand), and
+    # the bounds of the base pair clear every probe
+    arrays, X = draw_plant(np.random.default_rng((1, 6, 0, 0)), 6)
+    plant, controller = _observer_instance(arrays)
+    X = dlqr.SecondMoment(X)
+    calls = {"eigvals": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    grad = dlqr.finite_difference_gradient(plant, controller, X)
+    assert calls == {"eigvals": 1, "eigvalsh": 1}
+    monkeypatch.undo()
+    assert_same_gradient(grad, finite_difference_oracle(plant, controller, X))
+
+
+def test_finite_differences_match_loop_where_probes_leave_the_bound(monkeypatch):
+    # B_K scaled to within 1e-9 of the stability boundary: some probes are
+    # not stabilizing, so no bound clears them, and their steps halve
+    rng = np.random.default_rng(7)
+    plant, controller = _observer_instance(random_plant_arrays(rng, 3, 2, 2))
+    X = random_pd_second_moment(rng, 3)
+
+    def scaled(s):
+        return Controller(A_K=controller.A_K, B_K=s * controller.B_K, C_K=controller.C_K)
+
+    lo, hi = 1.0, 8.0
+    assert not dlqr.is_stabilizing(plant, scaled(hi))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dlqr.is_stabilizing(plant, scaled(mid)) else (lo, mid)
+    near = scaled(lo * (1.0 - 1e-9))
+    unstable = []
+    original = gradient_mod._stacked_costs
+
+    def recorded(plant, gains, X, base=None):
+        assert base is not None
+        J, rho, errors = original(plant, gains, X, base)
+        unstable.append(sum(isinstance(e, NotStabilizing) for e in errors.values()))
+        return J, rho, errors
+
+    monkeypatch.setattr(gradient_mod, "_stacked_costs", recorded)
+    grad = dlqr.finite_difference_gradient(plant, near, X, step=1e-4)
+    assert unstable[0] > 0 and len(unstable) > 1
+    assert_same_gradient(grad, finite_difference_oracle(plant, near, X, step=1e-4))

@@ -226,7 +226,7 @@ def test_solve_dare_filter_matches_control_by_duality():
         dual = solve_dare_control(A.T, C.T, W, np.zeros((d, d)))
         assert_array_equal(Sigma, dual)
         L = filter_gain(A, C, Sigma)
-        assert_array_equal(L, lqr_gain(A.T, C.T, 0, Sigma).T)
+        assert_array_equal(L, lqr_gain(A.T, C.T, np.zeros((d, d)), Sigma).T)
         assert spectral_radius(A - L @ C) < 1.0
 
 
@@ -249,6 +249,43 @@ def test_solve_dare_filter_rejects_unobservable():
 def test_filter_gain_singular_innovation():
     with pytest.raises(SingularInnovation):
         filter_gain(1.0, 1.0, np.zeros((1, 1)))
+
+
+def test_lqr_gain_rejects_a_weight_of_the_wrong_size():
+    # a 1x1 R against two inputs used to broadcast into a gain
+    with pytest.raises(DimensionMismatch, match="R must be 2x2"):
+        lqr_gain(0.5, [[1.0, 2.0]], 1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((np.eye(3), np.ones((2, 1)), 1.0, np.eye(2)), "A"),
+        ((np.eye(2), np.ones((2, 1)), 1.0, np.eye(3)), "P"),
+    ],
+)
+def test_lqr_gain_rejects_mismatched_shapes(args, name):
+    with pytest.raises(DimensionMismatch, match=f"{name} must be 2x2"):
+        lqr_gain(*args)
+
+
+def test_lqr_gain_rejects_non_finite_entries():
+    with pytest.raises(AssumptionViolated, match="B has non-finite entries"):
+        lqr_gain(np.eye(2), [[np.nan], [1.0]], 1.0, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [((np.eye(3), np.ones((1, 2)), np.eye(2)), "A"), ((np.eye(2), np.ones((1, 2)), 1.0), "Sigma")],
+)
+def test_filter_gain_rejects_mismatched_shapes(args, name):
+    with pytest.raises(DimensionMismatch, match=f"{name} must be 2x2"):
+        filter_gain(*args)
+
+
+def test_filter_gain_rejects_non_finite_entries():
+    with pytest.raises(AssumptionViolated, match="Sigma has non-finite entries"):
+        filter_gain(np.eye(2), np.ones((1, 2)), np.full((2, 2), np.inf))
 
 
 _A2 = np.array([[0.5, 1.0], [1.0, 0.3]])

@@ -8,7 +8,10 @@ a solution scaled by 1 + delta, for delta 100 times the certificate's
 resolution; J_error must cover both the gap between the two trace forms
 and J's distance to an extended-precision sum; the cost must be invariant under a similarity transform of the
 controller state that carries X along, and transformed_cost must match
-evaluate on the transformed controller."""
+evaluate on the transformed controller. The probe screens of a
+finite-difference pass must bound the spectral radius from above and the
+smallest eigenvalues of P and Sigma from below, at random stabilizing
+controllers and probe steps from 1e-8 to 1e-1."""
 
 import numpy as np
 import pytest
@@ -17,8 +20,17 @@ from hypothesis import strategies as st
 
 import dlqr
 from dlqr import matops
+from dlqr.cost import (
+    _closed_loop_pass,
+    _Gains,
+    _probe_base,
+    _spectral_bounds,
+    _weyl_bounds,
+)
 from dlqr.matops import (
     KRON_DIM_LIMIT,
+    PSD_RTOL,
+    STABILITY_MARGIN,
     _doubling_route,
     _kron_route,
     _solve_dlyap_certified,
@@ -183,3 +195,71 @@ def test_transformed_cost_equals_evaluate(seed, n):
     report = dlqr.evaluate(plant, dlqr.apply(controller, transform), X)
     tol = 1e-9 * np.linalg.cond(T) ** 2 * (1.0 + _fro(report.P) * _fro(X))
     assert abs(J_T - report.J) <= tol
+
+
+def _random_stabilizing(plant, controller, rng):
+    """A random stabilizing controller: controller moved by a random
+    similarity, then along a random direction to a random fraction of the
+    way to the stability boundary."""
+    moved = dlqr.apply(
+        controller, dlqr.Transform.from_matrix(random_invertible(rng, plant.n, min_sv=0.3))
+    )
+    mats = (moved.A_K, moved.B_K, moved.C_K)
+    direction = [rng.uniform(-1.0, 1.0, M.shape) * (1.0 + np.abs(M)) for M in mats]
+
+    def at(t):
+        return dlqr.Controller(*(M + t * D for M, D in zip(mats, direction)))
+
+    lo, hi = 0.0, 1.0
+    while dlqr.is_stabilizing(plant, at(hi)) and hi < 1e3:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if dlqr.is_stabilizing(plant, at(mid)) else (lo, mid)
+    return at(rng.uniform(0.0, 1.0) * lo)
+
+
+@PROPERTY
+@given(seed=SEEDS, n=ORDERS)
+def test_probe_screens_bound_what_they_clear(seed, n):
+    # eight probes around a random stabilizing controller, each at its own
+    # relative step from 1e-8 to 1e-1: each probe the spectral bound clears
+    # has its eigvals radius below the bound, each matrix of P and Sigma the
+    # Weyl bound clears has its eigvalsh minimum at or above the bound, and
+    # a pass given the base reports those bounds there, the exact values
+    # elsewhere, and the same J and errors as a pass without it
+    plant, controller, X, rng = _instance(seed, n)
+    controller = _random_stabilizing(plant, controller, rng)
+    base = _probe_base(plant, controller, dlqr.evaluate(plant, controller, X))
+    assert base is not None
+    step = 10.0 ** rng.uniform(-8.0, -1.0, (8, 1, 1))
+    gains = _Gains(
+        *(
+            M + step * (1.0 + np.abs(M)) * rng.uniform(-1.0, 1.0, (8,) + M.shape)
+            for M in (controller.A_K, controller.B_K, controller.C_K)
+        )
+    )
+    out = _closed_loop_pass(plant, gains, X)  # exact rho and margins
+    screened = _closed_loop_pass(plant, gains, X, base)
+    bounds = _spectral_bounds(dlqr.assemble(plant, gains).A_cl, base)
+    cleared = bounds < 1.0 - STABILITY_MARGIN
+    assert np.all(out.rho[cleared] <= bounds[cleared])
+    np.testing.assert_array_equal(screened.rho, np.where(cleared, bounds, out.rho))
+    assert {k: str(e) for k, e in screened.errors.items()} == {
+        k: str(e) for k, e in out.errors.items()
+    }
+    ok = [k not in out.errors for k in range(len(out.J))]
+    assert screened.J[ok].tobytes() == out.J[ok].tobytes()
+    if out.P is None:
+        return
+
+    pair = np.concatenate((out.P, out.Sigma))
+    norms = np.linalg.norm(pair, axis=(1, 2))
+    lower = _weyl_bounds(pair, norms, base)
+    cleared = lower >= -PSD_RTOL * (1.0 + norms)
+    lam = np.concatenate((out.lambda_min_P, out.lambda_min_Sigma))
+    assert np.all(lam[cleared] >= lower[cleared])
+    np.testing.assert_array_equal(
+        np.concatenate((screened.lambda_min_P, screened.lambda_min_Sigma)),
+        np.where(cleared, lower, lam),
+    )
