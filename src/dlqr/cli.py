@@ -5,9 +5,10 @@ with deterministic row order; all numbers are printed with 17 significant
 digits so downstream plots reproduce bit-faithfully.
 
 The parser is built once, at import, and holds every default: `--tol` is
-`gradcheck`'s pass threshold, GRADCHECK_DEFAULT_TOL, and the `descend`
-flags are DescentConfig's fields. The solver commands take no tolerance:
-their certificates are judged to matops.SOLVER_RTOL. `main`
+`gradcheck`'s pass threshold, GRADCHECK_DEFAULT_TOL, and `descend`'s one
+tuning flag, `--max-iter`, defaults to descent.ITERATION_BUDGET. The solver
+commands take no tolerance: their certificates are judged to
+matops.SOLVER_RTOL. `main`
 calls `cmd_<command>(args)` with the parsed namespace, looking the handler
 up by name at call time, so a patched module attribute is the one called.
 
@@ -24,12 +25,7 @@ import sys
 import numpy as np
 
 from .cost import _Gains, _stacked_costs, block_lyapunov_residuals, evaluate
-from .descent import (
-    DEFAULT_DESCENT_CONFIG,
-    DescentConfig,
-    descend,
-    random_stabilizing_init,
-)
+from .descent import ITERATION_BUDGET, descend, random_stabilizing_init
 from .errors import (
     AssumptionViolated,
     DimensionMismatch,
@@ -55,15 +51,6 @@ from .similarity import apply, g_surrogate, optimal_transform
 from .stationary import stationary_candidate
 
 GRADCHECK_DEFAULT_TOL = 1e-5
-
-# descend's line-search flags and the DescentConfig fields they set
-_DESCENT_FLAGS = {
-    "--step0": "step0",
-    "--backtrack": "backtrack_factor",
-    "--armijo": "armijo_c",
-    "--max-iter": "max_iter",
-    "--grad-tol": "grad_tol",
-}
 
 _SWEEP_TARGET = re.compile(r"^(A_K|B_K|C_K)(?:\[(\d+),(\d+)\])?$")
 
@@ -375,14 +362,11 @@ def cmd_descend(args):
     """Run gradient descent, write the per-iteration CSV, report the end."""
     problem = load_problem(args.problem)
     plant = problem.plant
-    cfg = DescentConfig(
-        **{field: getattr(args, field) for field in _DESCENT_FLAGS.values()}
-    )
     if problem.seed_controller is not None:
         init = problem.seed_controller
     else:
         init = random_stabilizing_init(plant, args.seed)
-    trace = descend(plant, problem.X, init, cfg)
+    trace = descend(plant, problem.X, init, args.max_iter)
     lines = ["iter,J,grad_norm,step"]
     for k, step_rec in enumerate(trace.steps):
         lines.append(
@@ -496,12 +480,9 @@ def _build_parser():
     common(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="trace CSV path (default stdout)")
-    for flag, field in _DESCENT_FLAGS.items():
-        default = getattr(DEFAULT_DESCENT_CONFIG, field)
-        metavar = flag[2:].upper().replace("-", "_")  # as argparse names it
-        p.add_argument(
-            flag, type=type(default), default=default, dest=field, metavar=metavar
-        )
+    p.add_argument(
+        "--max-iter", type=int, default=ITERATION_BUDGET, help="iteration budget"
+    )
     return parser
 
 

@@ -25,11 +25,11 @@ jump is skipped, keeping the candidate, when the transform does not exist
 (X12 or P12 singular, an unobservable candidate) or the jumped controller
 fails its certificates.
 
-DescentConfig holds every setting of the descent. The solves inside it
-take none: each evaluation is certified to matops.SOLVER_RTOL, as
-everywhere else."""
+The iteration budget is the one setting of the descent; the line search
+and the stop rule are module constants, read at call time. The solves
+inside it take none: each evaluation is certified to matops.SOLVER_RTOL,
+as everywhere else."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +64,27 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 STABILITY_BOUNDARY = "stability_boundary"
 
+# Default iteration budget of descend and of `dlqr descend --max-iter`: far
+# above what a scalar example takes, so a default run ends on the stop rule.
+ITERATION_BUDGET = 100_000
+
+# First trial step, before a Barzilai-Borwein quotient exists: a short move
+# keeps the first trials near the stabilizing start.
+STEP0 = 1e-2
+
+# Halving loses at most half of an acceptable step per rejected trial, and
+# MAX_BACKTRACKS halvings span more than the Barzilai-Borwein clip range.
+BACKTRACK_FACTOR = 0.5
+
+# A small share of the first-order decrease, so that a long Barzilai-Borwein
+# step is accepted whenever it lowers J by a fraction of what it promises.
+ARMIJO_C = 1e-4
+
+# Stop rule on the gradient norm, absolute: the scalar examples, whose J is
+# of order ten, reach it, but where J is in the hundreds it lies below
+# rounding and descent ends on its budget.
+GRAD_TOL = 1e-8
+
 # Backtracking budget per iteration; exhausting it means no acceptable
 # step exists in the search ray, which happens against the stability
 # boundary (or once J sits at its floating-point floor).
@@ -92,34 +113,6 @@ NOISE_SLACK = 64.0 * np.finfo(float).eps
 MAX_INIT_ATTEMPTS = 1000
 INIT_HALVE_EVERY = 100
 INIT_NOISE_SCALE = 0.5
-
-
-@dataclass(frozen=True)
-class DescentConfig:
-    """Line-search parameters: initial step, backtracking factor, Armijo
-    constant, iteration budget, and gradient-norm stopping tolerance.
-    step0 and grad_tol must be positive and finite."""
-
-    step0: float = 1e-2
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-    max_iter: int = 100_000
-    grad_tol: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("step0", "grad_tol"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_DESCENT_CONFIG = DescentConfig()
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,28 +203,33 @@ def _orbit_jump(plant, cand, X, cand_report):
     return (jumped, report), 1
 
 
-def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG):
+def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     """Gradient descent from a stabilizing initial controller.
 
     Parameters
     ----------
     init : Controller
         Must stabilize the plant.
-    cfg : DescentConfig
-        The line search and stop rule; the stability test is evaluate's,
+    max_iter : int
+        Iteration budget, at least 1. The line search and the stop rule are
+        the module constants; the stability test is evaluate's,
         rho < 1 - matops.STABILITY_MARGIN.
 
     Returns
     -------
     DescentTrace
-        Deterministic in (plant, X, init, cfg): the method draws no
+        Deterministic in (plant, X, init, max_iter): the method draws no
         randomness.
 
     Raises
     ------
+    ValueError
+        If max_iter is below 1.
     NotStabilizing
         If init does not stabilize the plant.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     X = as_second_moment(X, plant.n)
     report = evaluate(plant, init, X)
     grad = analytic_gradient(plant, init, X, report=report)
@@ -241,13 +239,13 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG):
         DescentStep(controller=init, J=J, grad_norm=grad.norm, step=0.0, evaluations=1)
     ]
     prev_theta = prev_g = None
-    # trial step without a usable BB quotient: step0 at the start, the last
+    # trial step without a usable BB quotient: STEP0 at the start, the last
     # accepted step after an orbit jump
-    t_default = cfg.step0
+    t_default = STEP0
     status = MAX_ITER
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, max_iter + 1):
         gnorm = float(np.linalg.norm(g_vec))
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= GRAD_TOL:
             status = CONVERGED
             break
         t = t_default
@@ -272,10 +270,10 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG):
                 # a stabilizing trial whose certificates fail
                 pass
             else:
-                if cand_report.J <= J - cfg.armijo_c * t * gnorm**2 + slack:
+                if cand_report.J <= J - ARMIJO_C * t * gnorm**2 + slack:
                     accepted = True
                     break
-            t *= cfg.backtrack_factor
+            t *= BACKTRACK_FACTOR
         if not accepted:
             status = STABILITY_BOUNDARY
             break
@@ -306,7 +304,7 @@ def descend(plant, X, init, cfg=DEFAULT_DESCENT_CONFIG):
                 evaluations=evaluations,
             )
         )
-    if status == MAX_ITER and steps[-1].grad_norm <= cfg.grad_tol:
+    if status == MAX_ITER and steps[-1].grad_norm <= GRAD_TOL:
         status = CONVERGED
     return DescentTrace(steps=tuple(steps), status=status)
 

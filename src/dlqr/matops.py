@@ -67,7 +67,8 @@ SOLVER_RTOL = 1e-12
 MAX_ITER = 100_000
 
 # The epsilon of the one stability test rho < 1 - STABILITY_MARGIN, applied
-# by evaluate's spectral screen and by model.is_stabilizing alike.
+# by evaluate's spectral screen, by model.is_stabilizing and by the Riccati
+# solver's gain check alike.
 STABILITY_MARGIN = 1e-9
 
 
@@ -301,7 +302,7 @@ def _solve_dare(A, B, Q, R, equation):
         # The map residual at P equals the Riccati residual, so returning
         # the pre-update iterate certifies the equation directly.
         if np.linalg.norm(P_next - P) <= SOLVER_RTOL * (1.0 + np.linalg.norm(P)):
-            if spectral_radius(A - B @ gain) >= 1.0:
+            if spectral_radius(A - B @ gain) >= 1.0 - STABILITY_MARGIN:
                 raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
             return P
         P = P_next
@@ -405,7 +406,9 @@ def psd_sqrt(M):
 
 def has_full_row_rank(M):
     """Numerical full-row-rank test: at most as many rows as columns, and
-    not singular by the singular-value rule."""
+    not singular by the singular-value rule. A scalar or a 1-d array is a
+    one-row matrix; a non-finite entry raises AssumptionViolated."""
+    M = _as_matrix(M, "M")
     return M.shape[0] <= M.shape[1] and not _is_singular(M)
 
 

@@ -5,30 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 import dlqr
-from dlqr import Controller, DescentConfig, InitFailed, NotStabilizing, SolverDiverged
+from dlqr import Controller, InitFailed, NotStabilizing, SolverDiverged
 from dlqr import descent as descent_mod
 
 from oracles import random_plant_arrays
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        DescentConfig(step0=0.0)
-    with pytest.raises(ValueError):
-        DescentConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
-        DescentConfig(armijo_c=0.0)
-    with pytest.raises(ValueError):
-        DescentConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        DescentConfig(grad_tol=0.0)
-
-
-@pytest.mark.parametrize("field", ["step0", "grad_tol"])
-@pytest.mark.parametrize("value", [np.inf, np.nan, -np.inf])
-def test_config_rejects_non_finite_values(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be positive and finite"):
-        DescentConfig(**{field: value})
+def test_config_validation(ex1_plant, rounded_k1, cross_X):
+    with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+        dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=0)
 
 
 def test_descend_stops_immediately_at_stationary_point(ex1_plant, cross_X):
@@ -40,18 +25,19 @@ def test_descend_stops_immediately_at_stationary_point(ex1_plant, cross_X):
     assert trace.final_J == pytest.approx(cert.J, rel=1e-12)
 
 
-def test_descend_vacuous_tolerance_returns_init(ex1_plant, rounded_k1, cross_X):
-    # a tolerance above any gradient norm; an infinite one is rejected
-    cfg = DescentConfig(grad_tol=1e300)
-    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, cfg)
+def test_descend_vacuous_tolerance_returns_init(
+    ex1_plant, rounded_k1, cross_X, monkeypatch
+):
+    # a tolerance above any gradient norm
+    monkeypatch.setattr(descent_mod, "GRAD_TOL", 1e300)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
     assert trace.status == dlqr.CONVERGED
     assert trace.iterations == 0
     assert_allclose(trace.final_controller.A_K, rounded_k1.A_K)
 
 
 def test_descend_exhausts_iteration_budget(ex1_plant, rounded_k1, cross_X):
-    cfg = DescentConfig(max_iter=1)
-    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, cfg)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=1)
     assert trace.status == dlqr.MAX_ITER
     assert trace.iterations == 1
 
@@ -96,11 +82,10 @@ ITERATION_BUDGET = 300
 
 @pytest.mark.parametrize("seed", range(10))
 def test_descend_converges_within_budget(ex1_plant, ex2_plant, cross_X, seed):
-    cfg = DescentConfig(max_iter=ITERATION_BUDGET)
     for plant in (ex1_plant, ex2_plant):
         cert = dlqr.stationary_candidate(plant, cross_X)
         init = dlqr.random_stabilizing_init(plant, seed)
-        trace = dlqr.descend(plant, cross_X, init, cfg)
+        trace = dlqr.descend(plant, cross_X, init, max_iter=ITERATION_BUDGET)
         assert trace.status == dlqr.CONVERGED
         assert abs(trace.final_J - cert.J) <= 1e-6
 
@@ -109,11 +94,11 @@ def test_descend_without_cross_block_never_jumps(ex1_plant, rounded_k1, monkeypa
     # X12 = 0: the orbit minimum is not attained, so every jump is skipped
     # and the descent is the one that never tries to jump
     X = np.eye(2)
-    cfg = DescentConfig(max_iter=50)
-    first = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
-    second = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
-    monkeypatch.setattr(descent_mod, "CANON_EVERY", cfg.max_iter + 1)
-    plain = dlqr.descend(ex1_plant, X, rounded_k1, cfg)
+    max_iter = 50
+    first = dlqr.descend(ex1_plant, X, rounded_k1, max_iter)
+    second = dlqr.descend(ex1_plant, X, rounded_k1, max_iter)
+    monkeypatch.setattr(descent_mod, "CANON_EVERY", max_iter + 1)
+    plain = dlqr.descend(ex1_plant, X, rounded_k1, max_iter)
     assert first.iterations == 50
     assert first.canonicalizations == 0
     for other in (second, plain):
@@ -131,7 +116,7 @@ def test_descend_rejects_jump_that_raises_cost(ex1_plant, cross_X, monkeypatch):
 
     monkeypatch.setattr(descent_mod, "optimal_transform", worse_transform)
     init = dlqr.random_stabilizing_init(ex1_plant, 0)
-    trace = dlqr.descend(ex1_plant, cross_X, init, DescentConfig(max_iter=200))
+    trace = dlqr.descend(ex1_plant, cross_X, init, max_iter=200)
     assert trace.canonicalizations == 0
 
 
@@ -139,7 +124,7 @@ def test_descend_backtracks_on_failed_trial_evaluation(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
     # call 1 evaluates the initial point, call 2 the first trial, which
-    # would otherwise be accepted at step0
+    # would otherwise be accepted at STEP0
     calls = []
     real = descent_mod.evaluate
 
@@ -152,7 +137,7 @@ def test_descend_backtracks_on_failed_trial_evaluation(
     monkeypatch.setattr(descent_mod, "evaluate", fail_first_trial)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
     assert trace.status == dlqr.CONVERGED
-    assert trace.steps[1].step == DescentConfig().step0 / 2
+    assert trace.steps[1].step == descent_mod.STEP0 / 2
 
 
 def test_descend_reaches_stationary_cost(ex1_plant, ex2_plant, cross_X):
@@ -180,8 +165,8 @@ def test_descend_reports_stability_boundary(
     # line search cannot find a stabilizing candidate and must stop at the
     # boundary rather than loop or step outside
     monkeypatch.setattr(descent_mod, "MAX_BACKTRACKS", 1)
-    cfg = DescentConfig(step0=1e8)
-    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, cfg)
+    monkeypatch.setattr(descent_mod, "STEP0", 1e8)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
     assert trace.status == dlqr.STABILITY_BOUNDARY
     assert trace.iterations == 0
 

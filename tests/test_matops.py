@@ -211,6 +211,14 @@ def test_solve_dare_control_rejects_unobservable_cost():
         solve_dare_control(0.5, 1.0, 0.0, 1.0)
 
 
+def test_solve_dare_gain_check_uses_the_stability_margin(ex1_plant, monkeypatch):
+    # Example 1's gain leaves rho(A - BK) = 0.156: stable, but not by the
+    # patched margin, which the Riccati check shares with evaluate's screen
+    monkeypatch.setattr(matops, "STABILITY_MARGIN", 0.9)
+    with pytest.raises(SolverDiverged, match="gain is not stabilizing"):
+        solve_dare_control(ex1_plant.A, ex1_plant.B, ex1_plant.Q, ex1_plant.R)
+
+
 def test_solve_dare_filter_matches_control_by_duality():
     # substituting (A, B, Q, R) -> (A^T, C^T, W, 0) turns the control
     # equation into the filter equation; both run the same iteration, so
@@ -408,6 +416,26 @@ def test_has_full_row_rank():
     assert has_full_row_rank(np.array([[1.0, 0.0], [0.0, 1.0]]))
     assert not has_full_row_rank(np.array([[1.0, 0.0], [2.0, 0.0]]))
     assert not has_full_row_rank(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize(
+    "M, expected",
+    [
+        ([[np.nan, 1.0]], AssumptionViolated),
+        ([[np.inf, 1.0]], AssumptionViolated),
+        (np.array([1.0, 0.0]), True),
+        ([[1.0, 0.0], [0.0, 1.0]], True),
+        (2.0, True),
+    ],
+    ids=["nan", "inf", "1-d", "list", "scalar"],
+)
+def test_has_full_row_rank_coerces_its_input(M, expected):
+    # a 1-d array or a scalar is one row; a non-finite entry is typed
+    if expected is AssumptionViolated:
+        with pytest.raises(AssumptionViolated, match="^M has non-finite entries$"):
+            has_full_row_rank(M)
+    else:
+        assert has_full_row_rank(M) is expected
 
 
 def test_dlyap_doubling_exhausts_budget(monkeypatch):

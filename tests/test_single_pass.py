@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dlqr
-from dlqr import Controller, DescentConfig, NotStabilizing
+from dlqr import Controller, NotStabilizing
 from dlqr import cost as cost_mod
 from dlqr import descent as descent_mod
 from dlqr.cli import main
@@ -133,8 +133,8 @@ def test_unstable_descent_trial_makes_no_lyapunov_solve(
 
     monkeypatch.setattr(descent_mod, "evaluate", recording)
     # a first trial step far outside the stabilizing set
-    cfg = DescentConfig(step0=1e3, max_iter=3)
-    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, cfg)
+    monkeypatch.setattr(descent_mod, "STEP0", 1e3)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=3)
     unstable = [made for raised, made in trials if raised]
     assert unstable and all(made == 0 for made in unstable)
     # one stacked solve gives a stable trial's P and Sigma
