@@ -110,6 +110,23 @@ def test_descend_takes_only_an_iteration_budget(ex1_problem_file, capsys, flag):
     assert "max_iter must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flag, field",
+    [
+        ("descend", "--step0", "step0"),
+        ("descend", "--grad-tol", "grad_tol"),
+    ],
+)
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_settings_exit_3(ex1_problem_file, capsys, command, flag, field, value):
+    # the flags are gone, so a non-finite value is refused by the parser
+    # before any field could be built from it
+    assert main([command, "--problem", ex1_problem_file, f"{flag}={value}"]) == 3
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}={value}" in err
+    assert f"{field} must be" not in err
+
+
 @pytest.mark.parametrize("command", ["eval", "stationary", "landscape", "descend"])
 def test_solver_commands_take_no_tolerance(ex1_problem_file, capsys, command):
     # their certificates are judged to matops.SOLVER_RTOL; --tol is gradcheck's
