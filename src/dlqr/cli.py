@@ -262,9 +262,12 @@ def cmd_landscape(args):
     for spec in args.fix:
         target, value = _parse_target(spec, "fix", "value")
         try:
-            fixed.append((target, float(value)))
+            v = float(value)
         except ValueError as exc:
             raise SchemaError(f"bad fix value '{value}': {exc}") from exc
+        if not math.isfinite(v):
+            raise SchemaError(f"fix value '{value}' must be finite")
+        fixed.append((target, v))
 
     mats = {"A_K": base.A_K.copy(), "B_K": base.B_K.copy(), "C_K": base.C_K.copy()}
     for target, v in fixed:
@@ -276,10 +279,6 @@ def cmd_landscape(args):
     stacks = {k: np.repeat(M[None], len(grid[0]), axis=0) for k, M in mats.items()}
     for (name, i, j), values in zip(entries, grid):
         stacks[name][:, i, j] = values
-    finite = np.all([np.isfinite(M).all(axis=(1, 2)) for M in stacks.values()], axis=0)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        type(base)(**{key: M[k] for key, M in stacks.items()})  # raises its error
     J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X)
     for k, values in enumerate(zip(*grid)):
         exc = errors.get(k)

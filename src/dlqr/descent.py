@@ -30,6 +30,7 @@ and the stop rule are module constants, read at call time. The solves
 inside it take none: each evaluation is certified to matops.SOLVER_RTOL,
 as everywhere else."""
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +45,7 @@ from .errors import (
     SolverDiverged,
 )
 from .gradient import analytic_gradient
-from .matops import (
-    _filter_gain,
-    _lqr_gain,
-    solve_dare_control,
-    solve_dare_filter,
-)
+from .matops import solve_dare_control, solve_dare_filter
 from .model import (
     as_second_moment,
     controller_from_vector,
@@ -224,10 +220,14 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     Raises
     ------
     ValueError
-        If max_iter is below 1.
+        If max_iter is not an integer, or is below 1.
     NotStabilizing
         If init does not stabilize the plant.
     """
+    try:
+        max_iter = operator.index(max_iter)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     X = as_second_moment(X, plant.n)
@@ -328,10 +328,8 @@ def random_stabilizing_init(plant, seed):
         If no admissible sample is found in MAX_INIT_ATTEMPTS attempts.
     """
     rng = np.random.default_rng(seed)
-    P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K0 = _lqr_gain(plant.A, plant.B, plant.R, P_hat)
-    Sigma_hat = solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
-    L0 = _filter_gain(plant.A, plant.C, Sigma_hat)
+    _, K0 = solve_dare_control(plant)
+    _, L0 = solve_dare_filter(plant, np.eye(plant.n))
     for attempt in range(MAX_INIT_ATTEMPTS):
         scale = INIT_NOISE_SCALE * 0.5 ** (attempt // INIT_HALVE_EVERY)
         K = K0 + scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))

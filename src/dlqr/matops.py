@@ -124,16 +124,17 @@ def _below_psd_floor(lam, norm):
     return not lam >= -PSD_RTOL * (1.0 + norm)
 
 
-def _check_psd(M, name, error=AssumptionViolated, definite=False):
+def _check_psd(M, name, definite=False):
     """Smallest eigenvalue of the symmetric matrix M, after checking that M
     is positive semidefinite up to the rounding floor or, if definite is
-    set, that the eigenvalue is positive. A failed check raises error."""
+    set, that the eigenvalue is positive. A failed check raises
+    AssumptionViolated."""
     lam = float(_min_eig(M))
     if definite:
         if not lam > 0.0:
-            raise error(f"{name} is not positive definite")
+            raise AssumptionViolated(f"{name} is not positive definite")
     elif _below_psd_floor(lam, np.linalg.norm(M)):
-        raise error(f"{name} is not positive semidefinite")
+        raise AssumptionViolated(f"{name} is not positive semidefinite")
     return lam
 
 
@@ -270,31 +271,24 @@ def _solve_dlyap_certified(A, W):
 
 
 def _lqr_gain(A, B, R, P):
-    """lqr_gain on arrays of agreeing shapes, unchecked: the Riccati loop
-    and the pipeline's gains call it on data already validated."""
+    """State-feedback gain (R + B^T P B)^{-1} B^T P A on arrays of agreeing
+    shapes, unchecked; SingularInnovation if R + B^T P B is singular."""
     S = R + B.T @ P @ B
     if _is_singular(S):
         raise SingularInnovation("innovation R + B^T P B is numerically singular")
     return np.linalg.solve(S, B.T @ P @ A)
 
 
-def lqr_gain(A, B, R, P):
-    """State-feedback gain (R + B^T P B)^{-1} B^T P A for a given value
-    matrix. With B of shape (n, m), A and P must be n x n and R m x m, else
-    DimensionMismatch; a non-finite entry raises AssumptionViolated, and a
-    singular innovation R + B^T P B SingularInnovation."""
-    B = _as_matrix(B, "B")
-    n, m = B.shape
-    A, R, P = _as_matrix(A, "A"), _as_matrix(R, "R"), _as_matrix(P, "P")
-    _check_shape(A, "A", (n, n))
-    _check_shape(R, "R", (m, m))
-    _check_shape(P, "P", (n, n))
-    return _lqr_gain(A, B, R, P)
+def _filter_gain(A, C, Sigma):
+    """Observer gain A Sigma C^T (C Sigma C^T)^{-1}: the transposed control
+    gain of the dual data (A^T, C^T, R = 0), unchecked."""
+    return _lqr_gain(A.T, C.T, 0.0, Sigma).T
 
 
 def _solve_dare(A, B, Q, R, equation):
     """Fixed-point iteration of the control Riccati equation on validated
-    data, with the stabilizing-gain check; equation names it in errors."""
+    data, with the stabilizing-gain check; equation names it in errors.
+    Returns the solution P and its gain _lqr_gain(A, B, R, P)."""
     P = Q.copy()
     for _ in range(MAX_ITER):
         gain = _lqr_gain(A, B, R, P)
@@ -304,13 +298,14 @@ def _solve_dare(A, B, Q, R, equation):
         if np.linalg.norm(P_next - P) <= SOLVER_RTOL * (1.0 + np.linalg.norm(P)):
             if spectral_radius(A - B @ gain) >= 1.0 - STABILITY_MARGIN:
                 raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
-            return P
+            return P, gain
         P = P_next
     raise SolverDiverged(f"{equation} Riccati iteration exhausted MAX_ITER")
 
 
-def solve_dare_control(A, B, Q, R):
-    """Stabilizing solution of the control Riccati equation.
+def solve_dare_control(plant):
+    """Stabilizing solution of the plant's control Riccati equation, and
+    its state-feedback gain.
 
     Fixed-point iteration on
         P <- Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A
@@ -319,34 +314,28 @@ def solve_dare_control(A, B, Q, R):
 
     Parameters
     ----------
-    A : (n, n), B : (n, m), Q : (n, n) symmetric PSD, R : (m, m) symmetric PSD
-        R may be singular provided R + B^T P B stays invertible along the
-        iteration.
+    plant : Plant
+        Its data are validated at construction, so no check is repeated.
+
+    Returns
+    -------
+    P : (n, n) ndarray
+    K : (m, n) ndarray
+        (R + B^T P B)^{-1} B^T P A, computed from P itself.
 
     Raises
     ------
-    AssumptionViolated
-        If (A, B) is not controllable or (Q^{1/2}, A) is not observable.
     SingularInnovation
         If R + B^T P B becomes numerically singular.
     SolverDiverged
         If the iteration budget is exhausted or the gain is not stable.
     """
-    A = _as_matrix(A, "A", square=True)
-    B = _as_matrix(B, "B")
-    Q = _check_symmetric(_as_matrix(Q, "Q", square=True), "Q")
-    R = _check_symmetric(_as_matrix(R, "R", square=True), "R")
-    _check_shape(Q, "Q", A.shape)
-    _check_shape(R, "R", (B.shape[1],) * 2)
-    if not is_controllable(A, B):
-        raise AssumptionViolated("(A, B) must be controllable")
-    if not is_observable(psd_sqrt(Q), A):
-        raise AssumptionViolated("(Q^{1/2}, A) must be observable")
-    return _solve_dare(A, B, Q, R, "control")
+    return _solve_dare(plant.A, plant.B, plant.Q, plant.R, "control")
 
 
-def solve_dare_filter(A, C, W):
-    """Stabilizing solution of the filter Riccati equation.
+def solve_dare_filter(plant, W):
+    """Stabilizing solution of the plant's filter Riccati equation for the
+    noise matrix W, and its observer gain.
 
         Sigma = W + A Sigma A^T - A Sigma C^T (C Sigma C^T)^{-1} C Sigma A^T
 
@@ -355,45 +344,32 @@ def solve_dare_filter(A, C, W):
 
     Parameters
     ----------
-    A : (n, n), C : (d, n), W : (n, n) symmetric PSD
-        The innovation C Sigma C^T must stay invertible along the iteration.
+    plant : Plant
+    W : (n, n) array_like, symmetric PSD
+        The one input the plant does not hold, so the one input checked.
+
+    Returns
+    -------
+    Sigma : (n, n) ndarray
+    L : (n, d) ndarray
+        A Sigma C^T (C Sigma C^T)^{-1}, computed from Sigma itself.
 
     Raises
     ------
     AssumptionViolated
-        If (C, A) is not observable.
+        If W has a non-finite entry, or is not symmetric PSD.
+    NonSquare, DimensionMismatch
+        If W is not n x n.
     SingularInnovation
         If C Sigma C^T becomes numerically singular.
     SolverDiverged
         If the iteration budget is exhausted or the gain is not stable.
     """
-    A = _as_matrix(A, "A", square=True)
-    C = _as_matrix(C, "C")
     W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
-    _check_shape(W, "W", A.shape)
-    if not is_observable(C, A):
-        raise AssumptionViolated("(C, A) must be observable")
-    d = C.shape[0]
-    return _solve_dare(A.T, C.T, W, np.zeros((d, d)), "filter")
-
-
-def _filter_gain(A, C, Sigma):
-    """filter_gain on arrays of agreeing shapes, unchecked."""
-    return _lqr_gain(A.T, C.T, 0.0, Sigma).T
-
-
-def filter_gain(A, C, Sigma):
-    """Observer gain A Sigma C^T (C Sigma C^T)^{-1} for a given correlation:
-    the transposed control gain of the dual data (A^T, C^T, R = 0), which
-    raises SingularInnovation if C Sigma C^T is singular. With C of shape
-    (d, n), A and Sigma must be n x n, else DimensionMismatch; a non-finite
-    entry raises AssumptionViolated."""
-    C = _as_matrix(C, "C")
-    n = C.shape[1]
-    A, Sigma = _as_matrix(A, "A"), _as_matrix(Sigma, "Sigma")
-    _check_shape(A, "A", (n, n))
-    _check_shape(Sigma, "Sigma", (n, n))
-    return _filter_gain(A, C, Sigma)
+    _check_shape(W, "W", plant.A.shape)
+    _check_psd(W, "W")
+    Sigma, gain = _solve_dare(plant.A.T, plant.C.T, W, 0.0, "filter")
+    return Sigma, gain.T
 
 
 def psd_sqrt(M):

@@ -83,14 +83,12 @@ def stationary_candidate(plant, X):
     if _is_singular(X.X12):
         raise SingularX12("X12 is singular; no observable stationary point exists")
 
-    P_hat = solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K = _lqr_gain(plant.A, plant.B, plant.R, P_hat)
+    P_hat, K = solve_dare_control(plant)
 
     # Schur complement of X22 in X: the part of the plant-state second
     # moment not explained by the controller state.
     Delta_X = _symmetrize(X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T))
-    Sigma_hat = solve_dare_filter(plant.A, plant.C, Delta_X)
-    L = _filter_gain(plant.A, plant.C, Sigma_hat)
+    Sigma_hat, L = solve_dare_filter(plant, Delta_X)
 
     K_dagger = observer_based(plant, K, L)
     T_star = Transform.from_matrix(_right_divide(X.X22, X.X12))

@@ -586,6 +586,17 @@ def test_landscape_rejects_non_finite_ranges(ex1_problem_file, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e999"])
+def test_landscape_rejects_non_finite_fix_values(ex1_problem_file, tmp_path, capsys, value):
+    out = tmp_path / "x.csv"
+    argv = ["landscape", "--problem", ex1_problem_file, "--sweep", "C_K=-1:0:3",
+            "--fix", f"B_K={value}", "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == f"dlqr: input error: fix value '{value}' must be finite\n"
+    assert not out.exists()
+
+
 def orbit_oracle(plant, controller, X, ts):
     """Orbit CSV text with one Transform and one transformed_cost per t."""
     lines = ["axis1,axis2,J,stabilizing,rho"]

@@ -16,6 +16,14 @@ def test_config_validation(ex1_plant, rounded_k1, cross_X):
         dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=0)
 
 
+@pytest.mark.parametrize("budget", [2.5, float("nan"), "3"])
+def test_descend_rejects_a_budget_that_is_not_an_integer(
+    ex1_plant, rounded_k1, cross_X, budget
+):
+    with pytest.raises(ValueError, match="^max_iter must be an integer, got "):
+        dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=budget)
+
+
 def test_descend_stops_immediately_at_stationary_point(ex1_plant, cross_X):
     cert = dlqr.stationary_candidate(ex1_plant, cross_X)
     trace = dlqr.descend(ex1_plant, cross_X, cert.K_star)
@@ -174,10 +182,8 @@ def test_descend_reports_stability_boundary(
 def test_random_init_zero_noise_is_riccati_design(ex1_plant, monkeypatch):
     monkeypatch.setattr(descent_mod, "INIT_NOISE_SCALE", 0.0)
     sampled = dlqr.random_stabilizing_init(ex1_plant, 12)
-    P = dlqr.solve_dare_control(ex1_plant.A, ex1_plant.B, ex1_plant.Q, ex1_plant.R)
-    K = dlqr.lqr_gain(ex1_plant.A, ex1_plant.B, ex1_plant.R, P)
-    Sigma = dlqr.solve_dare_filter(ex1_plant.A, ex1_plant.C, np.eye(1))
-    L = dlqr.filter_gain(ex1_plant.A, ex1_plant.C, Sigma)
+    _, K = dlqr.solve_dare_control(ex1_plant)
+    _, L = dlqr.solve_dare_filter(ex1_plant, np.eye(1))
     designed = dlqr.observer_based(ex1_plant, K, L)
     assert_allclose(sampled.A_K, designed.A_K)
     assert_allclose(sampled.B_K, designed.B_K)
@@ -235,10 +241,8 @@ def test_random_init_multi_input_multi_output_plant(seed):
 def _fixed_scale_init(plant, seed, noise_scale=0.5):
     # the sampler with a perturbation scale that never shrinks
     rng = np.random.default_rng(seed)
-    P = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K0 = dlqr.lqr_gain(plant.A, plant.B, plant.R, P)
-    Sigma = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
-    L0 = dlqr.filter_gain(plant.A, plant.C, Sigma)
+    _, K0 = dlqr.solve_dare_control(plant)
+    _, L0 = dlqr.solve_dare_filter(plant, np.eye(plant.n))
     while True:
         K = K0 + noise_scale * rng.uniform(-1.0, 1.0, K0.shape) * (1.0 + np.abs(K0))
         L = L0 + noise_scale * rng.uniform(-1.0, 1.0, L0.shape) * (1.0 + np.abs(L0))

@@ -271,10 +271,8 @@ def _observer_instance(arrays):
     """The plant of arrays with the observer-based controller of its
     Riccati gains, the filter gain for unit process noise."""
     plant = dlqr.Plant(**arrays)
-    P = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    Sigma = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(plant.n))
-    K = dlqr.lqr_gain(plant.A, plant.B, plant.R, P)
-    L = dlqr.filter_gain(plant.A, plant.C, Sigma)
+    _, K = dlqr.solve_dare_control(plant)
+    _, L = dlqr.solve_dare_filter(plant, np.eye(plant.n))
     return plant, dlqr.observer_based(plant, K, L)
 
 

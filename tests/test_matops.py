@@ -13,11 +13,9 @@ from dlqr import (
     SingularX12,
     SolverDiverged,
     Transform,
-    filter_gain,
     has_full_row_rank,
     is_controllable,
     is_observable,
-    lqr_gain,
     optimal_transform,
     psd_sqrt,
     random_stabilizing_init,
@@ -37,6 +35,7 @@ from dlqr.matops import (
 from oracles import (
     dare_control_fixed_point,
     lyap_dual_oracle,
+    random_plant_arrays,
     scalar_dare_control_root,
     scalar_lqr_gain,
 )
@@ -175,10 +174,9 @@ def test_non_finite_lyapunov_solution_fails_the_certificate(m):
 
 def test_solve_dare_control_scalar_closed_form():
     for a, q in ((1.1, 5.0), (0.9, 5.0), (1.7, 0.3), (0.2, 2.0)):
-        P = solve_dare_control(a, 1.0, q, 1.0)
+        P, K = solve_dare_control(Plant(A=a, B=1.0, C=1.0, Q=q, R=1.0))
         root = scalar_dare_control_root(a, 1.0, q, 1.0)
         assert P[0, 0] == pytest.approx(root, rel=1e-10)
-        K = lqr_gain(a, 1.0, 1.0, P)
         assert K[0, 0] == pytest.approx(scalar_lqr_gain(a, 1.0, 1.0, root), rel=1e-9)
 
 
@@ -189,9 +187,8 @@ def test_solve_dare_control_matrix_case():
     G = rng.normal(size=(3, 3))
     Q = G @ G.T + 0.1 * np.eye(3)
     R = np.eye(2)
-    P = solve_dare_control(A, B, Q, R)
+    P, K = solve_dare_control(Plant(A=A, B=B, C=np.eye(3), Q=Q, R=R))
     assert_allclose(P, dare_control_fixed_point(A, B, Q, R), rtol=1e-9, atol=1e-9)
-    K = lqr_gain(A, B, R, P)
     assert spectral_radius(A - B @ K) < 1.0
     residual = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(
         R + B.T @ P @ B, B.T @ P @ A
@@ -199,24 +196,12 @@ def test_solve_dare_control_matrix_case():
     assert np.linalg.norm(residual) <= 1e-10 * (1.0 + np.linalg.norm(P))
 
 
-def test_solve_dare_control_rejects_uncontrollable():
-    A = np.array([[2.0, 0.0], [0.0, 0.5]])
-    B = np.array([[1.0], [0.0]])
-    with pytest.raises(AssumptionViolated):
-        solve_dare_control(A, B, np.eye(2), np.eye(1))
-
-
-def test_solve_dare_control_rejects_unobservable_cost():
-    with pytest.raises(AssumptionViolated):
-        solve_dare_control(0.5, 1.0, 0.0, 1.0)
-
-
 def test_solve_dare_gain_check_uses_the_stability_margin(ex1_plant, monkeypatch):
     # Example 1's gain leaves rho(A - BK) = 0.156: stable, but not by the
     # patched margin, which the Riccati check shares with evaluate's screen
     monkeypatch.setattr(matops, "STABILITY_MARGIN", 0.9)
     with pytest.raises(SolverDiverged, match="gain is not stabilizing"):
-        solve_dare_control(ex1_plant.A, ex1_plant.B, ex1_plant.Q, ex1_plant.R)
+        solve_dare_control(ex1_plant)
 
 
 def test_solve_dare_filter_matches_control_by_duality():
@@ -229,71 +214,46 @@ def test_solve_dare_filter_matches_control_by_duality():
     G = rng.normal(size=(3, 3))
     W = G @ G.T + 0.1 * np.eye(3)
     for C in (C2, C2[:1]):
-        d = C.shape[0]
-        Sigma = solve_dare_filter(A, C, W)
-        dual = solve_dare_control(A.T, C.T, W, np.zeros((d, d)))
+        plant = Plant(A=A, B=np.eye(3), C=C, Q=np.eye(3), R=np.eye(3))
+        Sigma, L = solve_dare_filter(plant, W)
+        dual, gain = matops._solve_dare(A.T, C.T, W, 0.0, "filter")
         assert_array_equal(Sigma, dual)
-        L = filter_gain(A, C, Sigma)
-        assert_array_equal(L, lqr_gain(A.T, C.T, np.zeros((d, d)), Sigma).T)
+        assert_array_equal(L, gain.T)
         assert spectral_radius(A - L @ C) < 1.0
 
 
 def test_solve_dare_filter_scalar_full_observation():
     # with invertible C the innovation cancels the propagation exactly and
     # the fixed point is the process noise itself
-    Sigma = solve_dare_filter(1.1, 1.0, 0.9375)
+    plant = Plant(A=1.1, B=1.0, C=1.0, Q=1.0, R=1.0)
+    Sigma, L = solve_dare_filter(plant, 0.9375)
     assert Sigma[0, 0] == pytest.approx(0.9375, rel=1e-12)
-    L = filter_gain(1.1, 1.0, Sigma)
     assert L[0, 0] == pytest.approx(1.1, rel=1e-12)
 
 
-def test_solve_dare_filter_rejects_unobservable():
-    A = np.array([[0.5, 0.0], [0.0, 0.4]])
-    C = np.array([[1.0, 0.0]])
-    with pytest.raises(AssumptionViolated):
-        solve_dare_filter(A, C, np.eye(2))
+def test_solve_dare_filter_rejects_an_indefinite_noise_matrix():
+    # W is the one input the Plant does not hold, so the filter checks it
+    plant = Plant(A=0.5, B=1.0, C=1.0, Q=1.0, R=1.0)
+    with pytest.raises(AssumptionViolated, match="^W is not positive semidefinite$"):
+        solve_dare_filter(plant, -1.0)
+    with pytest.raises(AssumptionViolated, match="^W must be symmetric$"):
+        solve_dare_filter(_siso_plant(), [[1.0, 1.0], [0.0, 1.0]])
+
+
+def test_riccati_gains_are_the_gains_of_their_solutions():
+    # each solve returns the gain its loop computed from the returned
+    # iterate, bit-identical to recomputing it
+    rng = np.random.default_rng(5)
+    plant = Plant(**random_plant_arrays(rng, 4, 2, 2))
+    P, K = solve_dare_control(plant)
+    assert_array_equal(K, matops._lqr_gain(plant.A, plant.B, plant.R, P))
+    Sigma, L = solve_dare_filter(plant, np.eye(4))
+    assert_array_equal(L, matops._filter_gain(plant.A, plant.C, Sigma))
 
 
 def test_filter_gain_singular_innovation():
     with pytest.raises(SingularInnovation):
-        filter_gain(1.0, 1.0, np.zeros((1, 1)))
-
-
-def test_lqr_gain_rejects_a_weight_of_the_wrong_size():
-    # a 1x1 R against two inputs used to broadcast into a gain
-    with pytest.raises(DimensionMismatch, match="R must be 2x2"):
-        lqr_gain(0.5, [[1.0, 2.0]], 1.0, 1.0)
-
-
-@pytest.mark.parametrize(
-    "args, name",
-    [
-        ((np.eye(3), np.ones((2, 1)), 1.0, np.eye(2)), "A"),
-        ((np.eye(2), np.ones((2, 1)), 1.0, np.eye(3)), "P"),
-    ],
-)
-def test_lqr_gain_rejects_mismatched_shapes(args, name):
-    with pytest.raises(DimensionMismatch, match=f"{name} must be 2x2"):
-        lqr_gain(*args)
-
-
-def test_lqr_gain_rejects_non_finite_entries():
-    with pytest.raises(AssumptionViolated, match="B has non-finite entries"):
-        lqr_gain(np.eye(2), [[np.nan], [1.0]], 1.0, np.eye(2))
-
-
-@pytest.mark.parametrize(
-    "args, name",
-    [((np.eye(3), np.ones((1, 2)), np.eye(2)), "A"), ((np.eye(2), np.ones((1, 2)), 1.0), "Sigma")],
-)
-def test_filter_gain_rejects_mismatched_shapes(args, name):
-    with pytest.raises(DimensionMismatch, match=f"{name} must be 2x2"):
-        filter_gain(*args)
-
-
-def test_filter_gain_rejects_non_finite_entries():
-    with pytest.raises(AssumptionViolated, match="Sigma has non-finite entries"):
-        filter_gain(np.eye(2), np.ones((1, 2)), np.full((2, 2), np.inf))
+        matops._filter_gain(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
 
 
 _A2 = np.array([[0.5, 1.0], [1.0, 0.3]])
@@ -315,7 +275,10 @@ def _optimal_transform_site(X12):
 # Every caller of the singular-value rule with the error it raises; each is
 # fed a 2x2 matrix D whose sigma_min / sigma_max is the ratio.
 SINGULAR_VALUE_SITES = {
-    "filter_gain": (lambda D: filter_gain(np.eye(2), np.eye(2), D), SingularInnovation),
+    "filter_gain": (
+        lambda D: matops._filter_gain(np.eye(2), np.eye(2), D),
+        SingularInnovation,
+    ),
     "Transform.from_matrix": (Transform.from_matrix, SingularTransform),
     "stationary_candidate_X12": (
         lambda D: stationary_candidate(_siso_plant(), _cross_moment(D)),
@@ -378,18 +341,12 @@ def test_controllability_and_observability_predicates():
 
 
 def test_riccati_and_kalman_entry_points_reject_mismatched_shapes():
-    # a 1x1 R used to be broadcast against a two-input B
-    with pytest.raises(DimensionMismatch, match=r"^R must be 2x2, got \(1, 1\)$"):
-        solve_dare_control(0.5, [[1.0, 2.0]], 1.0, 1.0)
-    A = np.diag([0.5, 0.4])
-    with pytest.raises(DimensionMismatch, match=r"^B must be 2x1, got \(3, 1\)$"):
-        solve_dare_control(A, np.ones((3, 1)), np.eye(2), 1.0)
-    with pytest.raises(DimensionMismatch, match=r"^Q must be 2x2, got \(3, 3\)$"):
-        solve_dare_control(A, np.ones((2, 1)), np.eye(3), 1.0)
-    with pytest.raises(DimensionMismatch, match=r"^C must be 1x2, got \(1, 3\)$"):
-        solve_dare_filter(A, np.ones((1, 3)), np.eye(2))
+    # the plant's own shapes are Plant's to check; W is the filter's
     with pytest.raises(DimensionMismatch, match=r"^W must be 2x2, got \(3, 3\)$"):
-        solve_dare_filter(A, np.ones((1, 2)), np.eye(3))
+        solve_dare_filter(_siso_plant(), np.eye(3))
+    with pytest.raises(NonSquare, match=r"^W must be square, got shape \(2, 3\)$"):
+        solve_dare_filter(_siso_plant(), np.ones((2, 3)))
+    A = np.diag([0.5, 0.4])
     with pytest.raises(DimensionMismatch, match=r"^B must be 2x1, got \(3, 1\)$"):
         is_controllable(A, np.ones((3, 1)))
     with pytest.raises(DimensionMismatch, match=r"^C must be 1x2, got \(1, 3\)$"):
@@ -399,15 +356,16 @@ def test_riccati_and_kalman_entry_points_reject_mismatched_shapes():
 @pytest.mark.parametrize(
     "name, call",
     [
-        ("B", lambda bad: solve_dare_control(0.5, bad, 1.0, 1.0)),
-        ("C", lambda bad: solve_dare_filter(0.5, bad, 1.0)),
+        ("B", lambda bad: Plant(A=0.5, B=bad, C=1.0, Q=1.0, R=1.0)),
+        ("C", lambda bad: Plant(A=0.5, B=1.0, C=bad, Q=1.0, R=1.0)),
         ("B", lambda bad: is_controllable(0.5, bad)),
         ("C", lambda bad: is_observable(bad, 0.5)),
+        ("W", lambda bad: solve_dare_filter(_siso_plant(), bad)),
     ],
 )
 def test_riccati_and_kalman_entry_points_reject_non_finite_inputs(name, call):
     # a NaN used to reach the rank test's SVD, which raised an untyped
-    # LinAlgError
+    # LinAlgError; the plant's data reach the Riccati solves through Plant
     with pytest.raises(AssumptionViolated, match=f"^{name} has non-finite entries$"):
         call([[np.nan]])
 

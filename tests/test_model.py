@@ -55,6 +55,18 @@ def test_plant_rejects_assumption_violations():
             Q=np.eye(2),
             R=1.0,
         )
+    with pytest.raises(AssumptionViolated, match=r"^\(C, A\) must be observable$"):
+        Plant(
+            A=np.diag([0.5, 0.4]),
+            B=np.eye(2),
+            C=np.array([[1.0, 0.0]]),
+            Q=np.eye(2),
+            R=np.eye(2),
+        )
+    with pytest.raises(
+        AssumptionViolated, match=r"^\(Q\^\{1/2\}, A\) must be observable$"
+    ):
+        Plant(A=0.5, B=1.0, C=1.0, Q=0.0, R=1.0)
     with pytest.raises(AssumptionViolated):  # Q asymmetric
         Plant(
             A=np.eye(2) * 0.5,

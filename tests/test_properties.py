@@ -55,10 +55,8 @@ def _instance(seed, n):
     inputs = int(rng.integers(1, n + 1))
     outputs = int(rng.integers(1, n + 1))
     plant = dlqr.Plant(**random_plant_arrays(rng, n, inputs, outputs))
-    P_hat = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K = dlqr.lqr_gain(plant.A, plant.B, plant.R, P_hat)
-    Sigma_hat = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(n))
-    L = dlqr.filter_gain(plant.A, plant.C, Sigma_hat)
+    _, K = dlqr.solve_dare_control(plant)
+    _, L = dlqr.solve_dare_filter(plant, np.eye(n))
     return plant, dlqr.observer_based(plant, K, L), random_pd_second_moment(rng, n), rng
 
 

@@ -22,10 +22,8 @@ def _instance(n, seed=0):
     rng = np.random.default_rng((seed, n))
     arrays = random_plant_arrays(rng, n, min(n, 2), min(n, 2))
     plant = dlqr.Plant(**arrays)
-    P_hat = dlqr.solve_dare_control(plant.A, plant.B, plant.Q, plant.R)
-    K = dlqr.lqr_gain(plant.A, plant.B, plant.R, P_hat)
-    Sigma_hat = dlqr.solve_dare_filter(plant.A, plant.C, np.eye(n))
-    L = dlqr.filter_gain(plant.A, plant.C, Sigma_hat)
+    _, K = dlqr.solve_dare_control(plant)
+    _, L = dlqr.solve_dare_filter(plant, np.eye(n))
     return plant, dlqr.observer_based(plant, K, L), random_pd_second_moment(rng, n), rng
 
 

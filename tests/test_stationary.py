@@ -87,8 +87,8 @@ def test_gain_matches_state_feedback_design(ex1_plant, cross_X):
     # the state-feedback half of the candidate is the classical design for
     # (A, B, Q, R), independently recomputed here
     cert = dlqr.stationary_candidate(ex1_plant, cross_X)
-    P = dlqr.solve_dare_control(ex1_plant.A, ex1_plant.B, ex1_plant.Q, ex1_plant.R)
-    assert_allclose(cert.K_gain, dlqr.lqr_gain(ex1_plant.A, ex1_plant.B, ex1_plant.R, P))
+    _, K = dlqr.solve_dare_control(ex1_plant)
+    assert_allclose(cert.K_gain, K)
 
 
 def test_verify_rejects_nonstabilizing(ex1_plant, cross_X):
