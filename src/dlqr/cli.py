@@ -137,6 +137,8 @@ def cmd_stationary(args):
                     "P_hat": matrix_to_wire(cert.P_hat),
                     "Sigma_hat": matrix_to_wire(cert.Sigma_hat),
                     "J": cert.J,
+                    "J_error": cert.J_error,
+                    "riccati_residuals": cert.riccati_residuals,
                     "residuals": cert.residuals,
                 }
             )

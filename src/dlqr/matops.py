@@ -21,6 +21,19 @@ form, so a slice's result is bit-identical to solving it alone. Per-slice
 decisions (stop rules, certificates) compare Python floats, which on the
 few slices of a stack is cheaper than numpy's per-call cost. Each
 certificate passes only on `value <= bound`, which a NaN fails.
+
+A Riccati equation is solved in two phases. The fixed-point map from
+P = Q runs only until its gain is stabilizing. Newton-Hewer steps then
+converge quadratically (Kleinman 1968, Hewer 1971): each step is one
+certified Lyapunov solve on the closed loop A - BK with weight Q + K^T R K.
+The steps stop on the true Riccati residual, judged by the certificate
+bound of the step's own loop,
+
+    ||Q + A^T P A - A^T P B K - P||_F
+        <= SOLVER_RTOL * (||Q + K^T R K||_F + (1 + ||A - BK||_F^2) ||P||_F),
+
+so a returned solution is a backward-stable one, however slowly the
+fixed-point map would have converged.
 """
 
 import math
@@ -55,15 +68,18 @@ SINGULAR_RTOL = 1e-10
 # negative eigenvalue, up to PSD_RTOL * (1 + ||M||_F) is accepted.
 PSD_RTOL = 1e-9
 
-# Relative tolerance tol of every solver certificate: a Riccati iteration
-# stops once successive iterates differ by at most tol (1 + ||P||_F), a
-# Lyapunov solution of P = W + A^T P A must leave a residual of at most
-# tol (||W||_F + (1 + ||A||_F^2) ||P||_F), and the doubling iteration stops
-# once its increment is at most tol/2 ||P||_F. The solvers read it at call
-# time.
+# Relative tolerance tol of every solver certificate: a Lyapunov solution
+# of P = W + A^T P A must leave a residual of at most
+# tol (||W||_F + (1 + ||A||_F^2) ||P||_F), the doubling iteration stops once
+# its increment is at most tol/2 ||P||_F, and the Newton-Hewer Riccati steps
+# stop once the Riccati residual is at most the Lyapunov bound of the loop
+# A - BK with weight W = Q + K^T R K. The fixed-point start of a Riccati
+# solve gives up, as not stabilizing, once successive iterates differ by at
+# most tol (1 + ||P||_F). The solvers read it at call time.
 SOLVER_RTOL = 1e-12
 
-# Iteration budget of the doubling Lyapunov route and of the Riccati loop.
+# Iteration budget of the doubling Lyapunov route, and of each phase of a
+# Riccati solve: its fixed-point start and its Newton-Hewer steps.
 MAX_ITER = 100_000
 
 # The epsilon of the one stability test rho < 1 - STABILITY_MARGIN, applied
@@ -127,11 +143,13 @@ def _below_psd_floor(lam, norm):
 def _check_psd(M, name, definite=False):
     """Smallest eigenvalue of the symmetric matrix M, after checking that M
     is positive semidefinite up to the rounding floor or, if definite is
-    set, that the eigenvalue is positive. A failed check raises
+    set, that M is positive definite and not singular by the singular-value
+    rule, lambda_min > SINGULAR_RTOL * lambda_max. A failed check raises
     AssumptionViolated."""
-    lam = float(_min_eig(M))
+    eig = np.linalg.eigvalsh(M)
+    lam = float(eig[0])
     if definite:
-        if not lam > 0.0:
+        if not lam > SINGULAR_RTOL * float(eig[-1]):
             raise AssumptionViolated(f"{name} is not positive definite")
     elif _below_psd_floor(lam, np.linalg.norm(M)):
         raise AssumptionViolated(f"{name} is not positive semidefinite")
@@ -271,35 +289,91 @@ def _solve_dlyap_certified(A, W):
 
 
 def _lqr_gain(A, B, R, P):
-    """State-feedback gain (R + B^T P B)^{-1} B^T P A on arrays of agreeing
-    shapes, unchecked; SingularInnovation if R + B^T P B is singular."""
-    S = R + B.T @ P @ B
-    if _is_singular(S):
-        raise SingularInnovation("innovation R + B^T P B is numerically singular")
+    """Gain (R + B^T P B)^{-1} B^T P A of the Riccati equation at P, on
+    arrays of agreeing shapes, unchecked. R is the control equation's
+    positive definite input weight, so R + B^T P B needs no singularity
+    test, or None for the filter equation's zero weight, whose innovation
+    B^T P B raises SingularInnovation if it is numerically singular."""
+    S = B.T @ P @ B
+    if R is None:
+        if _is_singular(S):
+            raise SingularInnovation("innovation C Sigma C^T is numerically singular")
+    else:
+        S = R + S
     return np.linalg.solve(S, B.T @ P @ A)
 
 
 def _filter_gain(A, C, Sigma):
     """Observer gain A Sigma C^T (C Sigma C^T)^{-1}: the transposed control
-    gain of the dual data (A^T, C^T, R = 0), unchecked."""
-    return _lqr_gain(A.T, C.T, 0.0, Sigma).T
+    gain of the dual data (A^T, C^T, R = None), unchecked."""
+    return _lqr_gain(A.T, C.T, None, Sigma).T
+
+
+def _newton_weight(Q, R, gain):
+    """Weight Q + K^T R K of the Lyapunov equation of the loop A - BK; Q
+    alone for the filter equation (R None)."""
+    return Q if R is None else _symmetrize(Q + gain.T @ R @ gain)
+
+
+def _riccati_residual(A, B, Q, R, P, gain):
+    """Backward error of P as a solution of the Riccati equation with its
+    gain K: the residual ||Q + A^T P A - A^T P B K - P||_F over the
+    certificate bound SOLVER_RTOL (||W||_F + (1 + ||A - BK||_F^2) ||P||_F)
+    of the Lyapunov equation that the Newton-Hewer step solves on the loop
+    A - BK with weight W = Q + K^T R K. At most 1 certifies P."""
+    AtP = A.T @ P
+    residual = float(np.linalg.norm(Q + AtP @ A - AtP @ B @ gain - P))
+    closed = float(np.linalg.norm(A - B @ gain))
+    weight = float(np.linalg.norm(_newton_weight(Q, R, gain)))
+    norm = float(np.linalg.norm(P))
+    return residual / (SOLVER_RTOL * (weight + (1.0 + closed * closed) * norm))
 
 
 def _solve_dare(A, B, Q, R, equation):
-    """Fixed-point iteration of the control Riccati equation on validated
-    data, with the stabilizing-gain check; equation names it in errors.
-    Returns the solution P and its gain _lqr_gain(A, B, R, P)."""
-    P = Q.copy()
+    """Stabilizing solution P of the Riccati equation
+    P = Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A on validated data,
+    and its gain _lqr_gain(A, B, R, P); R None is the filter equation's
+    zero input weight, and equation names the equation in errors.
+
+    The fixed-point map runs from P = Q until its gain passes the stability
+    test; it meets its stop rule first only if no gain it reaches is
+    stabilizing. Newton-Hewer steps follow, each one certified Lyapunov
+    solve, until _riccati_residual is at most 1. A step that lowers neither
+    the residual nor trace(P) ends the solve, as does a final gain that
+    fails the stability test."""
+    P = Q
     for _ in range(MAX_ITER):
         gain = _lqr_gain(A, B, R, P)
+        if spectral_radius(A - B @ gain) < 1.0 - STABILITY_MARGIN:
+            break
         P_next = _symmetrize(Q + A.T @ P @ A - A.T @ P @ B @ gain)
-        # The map residual at P equals the Riccati residual, so returning
-        # the pre-update iterate certifies the equation directly.
         if np.linalg.norm(P_next - P) <= SOLVER_RTOL * (1.0 + np.linalg.norm(P)):
+            raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
+        P = P_next
+    else:
+        raise SolverDiverged(f"{equation} Riccati iteration exhausted MAX_ITER")
+    last_residual = last_trace = math.inf
+    for _ in range(MAX_ITER):
+        closed, weight = A - B @ gain, _newton_weight(Q, R, gain)
+        (P,), _, _, errors = _solve_dlyap_certified(closed[None], weight[None])
+        if errors:
+            raise SolverDiverged(f"{equation} Riccati step: {errors[0]}")
+        gain = _lqr_gain(A, B, R, P)
+        residual = _riccati_residual(A, B, Q, R, P, gain)
+        if residual <= 1.0:
             if spectral_radius(A - B @ gain) >= 1.0 - STABILITY_MARGIN:
                 raise SolverDiverged(f"{equation} Riccati gain is not stabilizing")
             return P, gain
-        P = P_next
+        # The iterates decrease, P_1 >= P_2 >= ... (Hewer 1971), while the
+        # residual may rise over the first steps; a step that lowers
+        # neither has stalled on rounding.
+        trace = float(np.trace(P))
+        if not (residual < last_residual or trace < last_trace):
+            raise SolverDiverged(
+                f"{equation} Riccati residual stopped falling at {residual:.3g}"
+                " times its bound"
+            )
+        last_residual, last_trace = residual, trace
     raise SolverDiverged(f"{equation} Riccati iteration exhausted MAX_ITER")
 
 
@@ -307,10 +381,15 @@ def solve_dare_control(plant):
     """Stabilizing solution of the plant's control Riccati equation, and
     its state-feedback gain.
 
-    Fixed-point iteration on
-        P <- Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A
-    started from P = Q. The returned matrix satisfies the equation with
-    residual <= SOLVER_RTOL * (1 + ||P||_F) and yields a stable gain.
+    The equation
+
+        P = Q + A^T P A - A^T P B (R + B^T P B)^{-1} B^T P A
+
+    is solved by the fixed-point map from P = Q until its gain is
+    stabilizing, then by Newton-Hewer steps, each one certified Lyapunov
+    solve on the loop A - BK. The returned matrix leaves a Riccati residual
+    within SOLVER_RTOL (||Q + K^T R K||_F + (1 + ||A - BK||_F^2) ||P||_F)
+    and yields a gain with rho(A - BK) < 1 - STABILITY_MARGIN.
 
     Parameters
     ----------
@@ -325,10 +404,10 @@ def solve_dare_control(plant):
 
     Raises
     ------
-    SingularInnovation
-        If R + B^T P B becomes numerically singular.
     SolverDiverged
-        If the iteration budget is exhausted or the gain is not stable.
+        If no stabilizing gain is reached, a Newton-Hewer step fails its
+        Lyapunov certificate, the residual stops falling or a budget is
+        exhausted.
     """
     return _solve_dare(plant.A, plant.B, plant.Q, plant.R, "control")
 
@@ -340,7 +419,8 @@ def solve_dare_filter(plant, W):
         Sigma = W + A Sigma A^T - A Sigma C^T (C Sigma C^T)^{-1} C Sigma A^T
 
     is the control equation on the dual data (A^T, C^T, W, R = 0), and is
-    solved by the same fixed-point iteration, started from Sigma = W.
+    solved the same way, from Sigma = W; each Newton-Hewer step solves a
+    Lyapunov equation on the loop A - LC with weight W.
 
     Parameters
     ----------
@@ -363,12 +443,14 @@ def solve_dare_filter(plant, W):
     SingularInnovation
         If C Sigma C^T becomes numerically singular.
     SolverDiverged
-        If the iteration budget is exhausted or the gain is not stable.
+        If no stabilizing gain is reached, a Newton-Hewer step fails its
+        Lyapunov certificate, the residual stops falling or a budget is
+        exhausted.
     """
     W = _check_symmetric(_as_matrix(W, "W", square=True), "W")
     _check_shape(W, "W", plant.A.shape)
     _check_psd(W, "W")
-    Sigma, gain = _solve_dare(plant.A.T, plant.C.T, W, 0.0, "filter")
+    Sigma, gain = _solve_dare(plant.A.T, plant.C.T, W, None, "filter")
     return Sigma, gain.T
 
 

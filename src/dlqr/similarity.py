@@ -97,18 +97,6 @@ def g_gradient(report, H):
     return 2.0 * (report.P12.T @ X12 + report.P22 @ H @ X22)
 
 
-def g_hessian_form(report, Z):
-    """Quadratic form of the (constant) orbit Hessian in direction Z.
-
-    The surrogate is quadratic in H, so its Hessian acts on a direction Z
-    as 2 Tr(P22 Z X22 Z^T). Positive for every nonzero Z exactly when P22
-    and X22 are both positive definite, which makes the orbit problem
-    strictly convex."""
-    n = report.n
-    X22 = report.X[n:, n:]
-    return float(2.0 * np.trace(report.P22 @ Z @ X22 @ Z.T))
-
-
 def transformed_cost(plant, controller, X, transform, report=None):
     """Cost of apply(controller, transform) against the same X.
 

@@ -21,6 +21,7 @@ from .matops import (
     _filter_gain,
     _is_singular,
     _lqr_gain,
+    _riccati_residual,
     _symmetrize,
     solve_dare_control,
     solve_dare_filter,
@@ -36,7 +37,10 @@ class StationaryCertificate:
 
     K_dagger is the observer-based realization; K_star = apply(K_dagger,
     T_star). P_hat and Sigma_hat are the Riccati solutions behind the
-    gains. residuals maps identity names to Frobenius-norm violations.
+    gains, and riccati_residuals maps "control" and "filter" to each
+    solution's Riccati residual over its certificate bound (at most 1).
+    J is the cost at K_star and J_error its error bound from evaluate.
+    residuals maps identity names to Frobenius-norm violations.
     """
 
     K_star: Controller
@@ -47,6 +51,8 @@ class StationaryCertificate:
     P_hat: np.ndarray
     Sigma_hat: np.ndarray
     J: float
+    J_error: float
+    riccati_residuals: dict
     residuals: dict
 
 
@@ -89,6 +95,11 @@ def stationary_candidate(plant, X):
     # moment not explained by the controller state.
     Delta_X = _symmetrize(X.X11 - X.X12 @ np.linalg.solve(X.X22, X.X12.T))
     Sigma_hat, L = solve_dare_filter(plant, Delta_X)
+    A, B, C = plant.A, plant.B, plant.C
+    riccati_residuals = {
+        "control": _riccati_residual(A, B, plant.Q, plant.R, P_hat, K),
+        "filter": _riccati_residual(A.T, C.T, Delta_X, None, Sigma_hat, L.T),
+    }
 
     K_dagger = observer_based(plant, K, L)
     T_star = Transform.from_matrix(_right_divide(X.X22, X.X12))
@@ -104,6 +115,8 @@ def stationary_candidate(plant, X):
         P_hat=P_hat,
         Sigma_hat=Sigma_hat,
         J=report.J,
+        J_error=report.J_error,
+        riccati_residuals=riccati_residuals,
         residuals=residuals,
     )
 

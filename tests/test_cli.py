@@ -180,6 +180,9 @@ def test_stationary_json_round_trips(ex2_problem_file, capsys):
     assert dlqr.matrix_from_wire(payload["T_star"], "T_star")[0, 0] == pytest.approx(4.0)
     assert payload["residuals"]["gradient_norm"] <= 1e-8
     assert payload["J"] == pytest.approx(9.36306791478213, rel=1e-12)
+    assert 0.0 < payload["J_error"] <= 1e-12 * payload["J"]
+    assert sorted(payload["riccati_residuals"]) == ["control", "filter"]
+    assert all(0.0 <= r <= 1.0 for r in payload["riccati_residuals"].values())
 
 
 def test_stationary_singular_cross_block_exits_4(tmp_path, capsys):

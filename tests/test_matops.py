@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from dlqr import (
     AssumptionViolated,
+    DlqrError,
     DimensionMismatch,
     NonSquare,
     OptimalTransformNotFound,
@@ -34,6 +35,7 @@ from dlqr.matops import (
 
 from oracles import (
     dare_control_fixed_point,
+    draw_plant,
     lyap_dual_oracle,
     random_plant_arrays,
     scalar_dare_control_root,
@@ -205,9 +207,10 @@ def test_solve_dare_gain_check_uses_the_stability_margin(ex1_plant, monkeypatch)
 
 
 def test_solve_dare_filter_matches_control_by_duality():
-    # substituting (A, B, Q, R) -> (A^T, C^T, W, 0) turns the control
-    # equation into the filter equation; both run the same iteration, so
-    # the solutions and gains agree bit for bit, with two outputs and one
+    # substituting (A, B, Q, R) -> (A^T, C^T, W, 0), the zero weight passed
+    # as None, turns the control equation into the filter equation; both
+    # run the same iteration, so the solutions and gains agree bit for bit,
+    # with two outputs and one
     rng = np.random.default_rng(9)
     A = rng.normal(size=(3, 3)) * 0.7
     C2 = rng.normal(size=(2, 3))
@@ -216,7 +219,7 @@ def test_solve_dare_filter_matches_control_by_duality():
     for C in (C2, C2[:1]):
         plant = Plant(A=A, B=np.eye(3), C=C, Q=np.eye(3), R=np.eye(3))
         Sigma, L = solve_dare_filter(plant, W)
-        dual, gain = matops._solve_dare(A.T, C.T, W, 0.0, "filter")
+        dual, gain = matops._solve_dare(A.T, C.T, W, None, "filter")
         assert_array_equal(Sigma, dual)
         assert_array_equal(L, gain.T)
         assert spectral_radius(A - L @ C) < 1.0
@@ -251,6 +254,79 @@ def test_riccati_gains_are_the_gains_of_their_solutions():
     assert_array_equal(L, matops._filter_gain(plant.A, plant.C, Sigma))
 
 
+def test_solve_dare_control_stiff_scalar_plant_is_accurate_to_rounding():
+    # a = 1, q = 1e-4: the fixed-point map contracts by only about 0.98 per
+    # step, so a stop on the change between its iterates ended 5.1e-9 from
+    # the root; the residual stop of the Newton-Hewer steps does not
+    P, K = solve_dare_control(Plant(A=1.0, B=1.0, C=1.0, Q=1e-4, R=1.0))
+    root = scalar_dare_control_root(1.0, 1.0, 1e-4, 1.0)
+    assert P[0, 0] == pytest.approx(root, rel=1e-12)
+    assert K[0, 0] == pytest.approx(scalar_lqr_gain(1.0, 1.0, 1.0, root), rel=1e-12)
+
+
+def _drawn_riccati_problems():
+    # the generated-certify plants of orders 2-10, seeds 0-3, with the
+    # filter weight stationary_candidate gives them: the Schur complement
+    # of X22 in X
+    for n in range(2, 11):
+        for s in range(4):
+            arrays, X = draw_plant(np.random.default_rng((s, n)), n)
+            X11, X12, X22 = X[:n, :n], X[:n, n:], X[n:, n:]
+            W = X11 - X12 @ np.linalg.solve(X22, X12.T)
+            yield arrays, 0.5 * (W + W.T)
+
+
+def _normalized_riccati_residual(A, B, Q, R, P):
+    # ||Q + A'PA - A'PB K - P|| over SOLVER_RTOL (||Q + K'RK|| +
+    # (1 + ||A - BK||^2) ||P||), written out apart from matops
+    S = B.T @ P @ B + (0.0 if R is None else R)
+    K = np.linalg.solve(S, B.T @ P @ A)
+    residual = Q + A.T @ P @ A - A.T @ P @ B @ K - P
+    weight = Q if R is None else Q + K.T @ R @ K
+    norm = np.linalg.norm
+    scale = norm(weight) + (1.0 + norm(A - B @ K) ** 2) * norm(P)
+    return norm(residual) / (matops.SOLVER_RTOL * scale)
+
+
+def test_riccati_solves_on_drawn_plants_leave_residuals_within_their_bound():
+    for arrays, W in _drawn_riccati_problems():
+        plant = Plant(**arrays)
+        A, B, C, Q, R = plant.A, plant.B, plant.C, plant.Q, plant.R
+        P, K = solve_dare_control(plant)
+        Sigma, L = solve_dare_filter(plant, W)
+        assert _normalized_riccati_residual(A, B, Q, R, P) <= 1.0
+        assert _normalized_riccati_residual(A.T, C.T, W, None, Sigma) <= 1.0
+        assert matops._riccati_residual(A, B, Q, R, P, K) == pytest.approx(
+            _normalized_riccati_residual(A, B, Q, R, P), rel=1e-6
+        )
+        assert spectral_radius(A - B @ K) < 1.0
+        assert spectral_radius(A - L @ C) < 1.0
+
+
+def test_riccati_solves_on_drawn_plants_match_scipy():
+    # scipy's own error reaches 1.2e-11 on these plants, so the gate is
+    # 1e-10 relative rather than 1e-12
+    linalg = pytest.importorskip("scipy.linalg")
+    for arrays, W in _drawn_riccati_problems():
+        plant = Plant(**arrays)
+        P, _ = solve_dare_control(plant)
+        Sigma, _ = solve_dare_filter(plant, W)
+        P_ref = linalg.solve_discrete_are(plant.A, plant.B, plant.Q, plant.R)
+        Sigma_ref = linalg.solve_discrete_are(
+            plant.A.T, plant.C.T, W, np.zeros((plant.C.shape[0],) * 2)
+        )
+        assert np.linalg.norm(P - P_ref) <= 1e-10 * np.linalg.norm(P_ref)
+        assert np.linalg.norm(Sigma - Sigma_ref) <= 1e-10 * np.linalg.norm(Sigma_ref)
+
+
+def test_solve_dare_newton_steps_that_stop_falling_raise(ex1_plant, monkeypatch):
+    # a residual held above its bound never certifies; once the iterates
+    # stop falling too, the solve ends instead of spending MAX_ITER steps
+    monkeypatch.setattr(matops, "_riccati_residual", lambda *args: 2.0)
+    with pytest.raises(SolverDiverged, match="residual stopped falling"):
+        solve_dare_control(ex1_plant)
+
+
 def test_filter_gain_singular_innovation():
     with pytest.raises(SingularInnovation):
         matops._filter_gain(np.ones((1, 1)), np.ones((1, 1)), np.zeros((1, 1)))
@@ -272,6 +348,18 @@ def _optimal_transform_site(X12):
     return optimal_transform(plant, random_stabilizing_init(plant, 0), _cross_moment(X12))
 
 
+def _rotated_moment(D):
+    # kron(H D H, I) for the 2x2 Hadamard rotation H: the eigenvalues of D,
+    # each twice, and an invertible cross block
+    H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    return np.kron(H @ D @ H, np.eye(2))
+
+
+def _optimal_transform_X_site(D):
+    plant = _siso_plant()
+    return optimal_transform(plant, random_stabilizing_init(plant, 0), _rotated_moment(D))
+
+
 # Every caller of the singular-value rule with the error it raises; each is
 # fed a 2x2 matrix D whose sigma_min / sigma_max is the ratio.
 SINGULAR_VALUE_SITES = {
@@ -289,6 +377,15 @@ SINGULAR_VALUE_SITES = {
         lambda D: Plant(A=_A2, B=np.eye(2), C=D, Q=np.eye(2), R=np.eye(2)),
         AssumptionViolated,
     ),
+    "Plant_R_definite": (
+        lambda D: Plant(A=_A2, B=np.eye(2), C=np.eye(2), Q=np.eye(2), R=D),
+        AssumptionViolated,
+    ),
+    "stationary_candidate_X_definite": (
+        lambda D: stationary_candidate(_siso_plant(), _rotated_moment(D)),
+        AssumptionViolated,
+    ),
+    "optimal_transform_X_definite": (_optimal_transform_X_site, AssumptionViolated),
 }
 
 
@@ -303,6 +400,23 @@ def test_one_singular_value_rule_at_every_call_site(site, ratio, singular):
             call(D)
     else:
         call(D)
+
+
+def test_near_singular_second_moments_raise_typed_errors():
+    # X = M M^T with one row of M within 1e-9 to 1e-5 of another: a
+    # smallest eigenvalue down to 1e-16 passed a test of lambda_min > 0, and
+    # the Schur complement's solve on X22 then raised numpy's LinAlgError
+    # on 90 of these 2000 draws; any other untyped error fails the test
+    rng = np.random.default_rng(0)
+    plant = _siso_plant()
+    for _ in range(2000):
+        M = rng.normal(size=(4, 4))
+        M[3] = M[2] + 10 ** rng.uniform(-9, -5) * rng.normal(size=4)
+        X = M @ M.T
+        try:
+            stationary_candidate(plant, 0.5 * (X + X.T))
+        except DlqrError:
+            pass
 
 
 def test_psd_sqrt_squares_back():

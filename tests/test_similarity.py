@@ -110,26 +110,6 @@ def test_g_gradient_matches_finite_differences(ex1_plant, rounded_k1, cross_X):
         assert grad[idx] == pytest.approx(fd, rel=1e-7)
 
 
-def test_g_hessian_form_value_and_curvature(ex1_plant, rounded_k1, cross_X):
-    report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
-    # frozen from the scalar closed form 2 * P22 * X22
-    assert dlqr.g_hessian_form(report, np.eye(1)) == pytest.approx(
-        12.543770570196294, rel=1e-9
-    )
-    # the surrogate is exactly quadratic: its second difference along any
-    # direction reproduces the Hessian form
-    H = np.array([[0.3]])
-    Z = np.array([[1.7]])
-    t = 1e-3
-    second = (
-        dlqr.g_surrogate(report, H + t * Z)
-        - 2.0 * dlqr.g_surrogate(report, H)
-        + dlqr.g_surrogate(report, H - t * Z)
-    ) / (t * t)
-    assert second == pytest.approx(dlqr.g_hessian_form(report, Z), rel=1e-6)
-    assert dlqr.g_hessian_form(report, np.array([[-2.0]])) > 0.0
-
-
 def test_optimal_transform_frozen_values(ex1_plant, rounded_k1, cross_X):
     T = dlqr.optimal_transform(ex1_plant, rounded_k1, cross_X)
     assert T.T[0, 0] == pytest.approx(4.001240446047016, abs=1e-9)

@@ -73,6 +73,16 @@ def test_candidate_residuals_small(ex1_plant, ex2_plant, cross_X):
             assert value <= 1e-8, f"{name} = {value}"
 
 
+def test_candidate_carries_its_riccati_and_cost_evidence(ex1_plant, cross_X):
+    # each Riccati solution's residual over its certificate bound, from the
+    # stop rule's own helper, and the cost's error bar from evaluate
+    cert = dlqr.stationary_candidate(ex1_plant, cross_X)
+    assert sorted(cert.riccati_residuals) == ["control", "filter"]
+    assert all(0.0 <= r <= 1.0 for r in cert.riccati_residuals.values())
+    report = dlqr.evaluate(ex1_plant, cert.K_star, cross_X)
+    assert cert.J_error == report.J_error
+
+
 def test_candidate_matrix_case_residuals():
     rng = np.random.default_rng(61)
     plant = dlqr.Plant(**random_plant_arrays(rng, 2, 1, 1))
