@@ -294,7 +294,7 @@ def cmd_landscape(args):
 
 
 def cmd_gradcheck(args):
-    """Compare analytic and finite-difference gradients; exit 5 on failure,
+    """Compare analytic and complex-step gradients; exit 5 on failure,
     which includes a non-finite discrepancy."""
     if args.trials < 0:
         raise SchemaError("--trials must not be negative")
@@ -315,7 +315,7 @@ def cmd_gradcheck(args):
     discrepancies = []
     for controller in controllers:
         ga = analytic_gradient(plant, controller, problem.X)
-        gf = finite_difference_gradient(plant, controller, problem.X, step=args.step)
+        gf = finite_difference_gradient(plant, controller, problem.X)
         diff = GradientTriple(ga.dA_K - gf.dA_K, ga.dB_K - gf.dB_K, ga.dC_K - gf.dC_K)
         discrepancies.append(diff.norm / (1.0 + ga.norm))
     worst = float(np.max(discrepancies))  # NaN propagates, and NaN fails
@@ -465,7 +465,7 @@ def _build_parser():
     )
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
-    p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
+    p = sub.add_parser("gradcheck", help="analytic vs complex-step gradients")
     common(p, controller=True)
     p.add_argument(
         "--tol",
@@ -475,7 +475,6 @@ def _build_parser():
     )
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-6, help="finite-difference step")
 
     p = sub.add_parser("descend", help="stability-safeguarded gradient descent")
     common(p)

@@ -12,18 +12,9 @@ One stacked closed-loop pass does this for N controllers of one plant at
 once: it assembles the N loops, screens them with one stacked eigvals,
 solves the stable ones' Lyapunov pairs in one stacked call, P on A_cl and
 Sigma on A_cl^T side by side, and checks every certificate slice by
-slice. evaluate is its N = 1 call; the finite-difference gradient and the
-landscape sweeps run many slices through it in chunks. evaluate's report
-carries rho, the PSD margins and J_error, so callers read them instead of
-recomputing them.
-
-A finite-difference pass may also hand it a _Base, the certified base loop
-its probes surround. Two rigorous bounds then clear most probes without an
-eigen-decomposition: the spectral radius through the similarity by the
-Cholesky factor of the base Sigma, and the PSD margins through Weyl's
-inequality against the base pair. A probe neither bound clears is judged
-by the same decomposition as without a base, so no verdict, J or error
-changes."""
+slice. evaluate is its N = 1 call; the landscape sweeps run many slices
+through it in chunks. evaluate's report carries rho, the PSD margins and
+J_error, so callers read them instead of recomputing them."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -34,7 +25,6 @@ from .errors import NotStabilizing, SolverDiverged
 from .matops import (
     STABILITY_MARGIN,
     _below_psd_floor,
-    _fro,
     _min_eig,
     _route_bytes,
     _solve_dlyap_certified,
@@ -45,11 +35,11 @@ from .model import as_second_moment, assemble
 
 # Chunks of a many-slice pass hold at most _STACK_BYTES of the largest
 # per-slice array of their Lyapunov route (matops._route_bytes), counted
-# once for each of a slice's two solves, and at most _STACK_SLICES slices.
-# Measured on the finite-difference gradients of the 73 generated-certify
-# plants (seed 1, one BLAS thread, 2-core x86 machine), on the pass with
-# one stacked solve per chunk and probes screened from their base loop:
-# chunks of 32 KiB took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved
+# once for each of a slice's solves, and at most _STACK_SLICES slices.
+# Measured on central-difference gradients of the 73 generated-certify
+# plants (seed 1, one BLAS thread, 2-core x86 machine), whose probes took
+# two real solves each, as many bytes as the one complex solve of a
+# complex-step probe: chunks of 32 KiB took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved
 # runs) and raised traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46)
 # and +1.05 MB, 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s
 # (0.40-0.51) and +2.74 MB. On small loops the other per-slice arrays
@@ -58,6 +48,12 @@ from .model import as_second_moment, assemble
 # one-by-one evaluation, 32-slice chunks 1.7%.
 _STACK_BYTES = 64 * 1024
 _STACK_SLICES = 32
+
+
+def _chunk_size(slice_bytes):
+    """Slices per chunk of a many-slice pass whose slices each hold
+    slice_bytes of their routes' largest arrays: at least one."""
+    return max(1, min(_STACK_SLICES, _STACK_BYTES // slice_bytes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,11 +123,7 @@ class _Slices(NamedTuple):
     the exception evaluate raises for it; the other results of a failed
     slice, except rho, are undefined.
 
-    In a pass given a _Base, rho of a slice its spectral bound clears is
-    that bound, an upper bound on the spectral radius below 1 -
-    STABILITY_MARGIN, and a margin its Weyl bound clears is that bound, a
-    lower bound on the smallest eigenvalue above the PSD floor. Every
-    other rho and margin is the exact one, as without a base."""
+    """
 
     rho: np.ndarray
     J: np.ndarray
@@ -143,101 +135,7 @@ class _Slices(NamedTuple):
     errors: dict
 
 
-class _Base(NamedTuple):
-    """The certified base loop of a finite-difference pass: its A_cl, a
-    factor L of its Sigma = L L^T with S = L^{-1}, radius = ||S A_cl L||_2
-    plus the rounding allowance of the spectral bound, unit = that
-    allowance's part per unit of ||A_k - A_cl||_F, the (2, m, m) stack
-    pair = [P; Sigma] with its smallest eigenvalues lam and Frobenius
-    norms."""
-
-    A_cl: np.ndarray
-    S: np.ndarray
-    L: np.ndarray
-    radius: float
-    unit: float
-    pair: np.ndarray
-    lam: np.ndarray
-    norms: np.ndarray
-
-
-# Largest rounding allowance of the spectral bound for which a pass gets a
-# base. The allowance grows with ||S||_F ||L||_F, and so does the bound's
-# probe term ||S (A_k - A_0) L||_F: past it, the bounds would clear few
-# probes and still cost their products on every one.
-_BASE_ALLOWANCE = 1e-6
-
-
-def _probe_base(plant, controller, report):
-    """The _Base of evaluate's report at controller, or None if its Sigma is
-    not numerically positive definite or the allowance exceeds
-    _BASE_ALLOWANCE.
-
-    For any invertible L, rho(A) = rho(S A L) <= ||S A L||_2, so a probe
-    loop A_k has rho(A_k) <= ||S A_0 L||_2 + ||S (A_k - A_0) L||_F; since
-    Sigma - A_0 Sigma A_0^T = X > 0, ||S A_0 L||_2 < 1. The computed S makes
-    S L = I + E with ||E|| <= c m eps ||S|| ||L||, and each product or
-    difference adds at most c m eps ||S|| ||L|| times the norm of the
-    matrix between the factors; with c = 64 the allowance
-    64 m eps ||S||_F ||L||_F (1 + ||A_0||_F + ||A_k - A_0||_F)
-    covers both, and the rounding of the 2-norm besides."""
-    A_cl = assemble(plant, controller).A_cl
-    try:
-        L = np.linalg.cholesky(report.Sigma)
-    except np.linalg.LinAlgError:
-        return None
-    S = np.linalg.inv(L)
-    m = len(A_cl)
-    unit = 64.0 * m * np.finfo(float).eps * np.linalg.norm(S) * np.linalg.norm(L)
-    allowance = unit * (1.0 + np.linalg.norm(A_cl))
-    if not allowance <= _BASE_ALLOWANCE:
-        return None
-    pair = np.stack((report.P, report.Sigma))
-    return _Base(
-        A_cl=A_cl,
-        S=S,
-        L=L,
-        radius=float(np.linalg.norm(S @ A_cl @ L, 2)) + allowance,
-        unit=float(unit),
-        pair=pair,
-        lam=np.array([report.lambda_min_P, report.lambda_min_Sigma]),
-        norms=_fro(pair),
-    )
-
-
-def _spectral_bounds(A_cl, base):
-    """Upper bounds on the spectral radius of each loop in the stack A_cl,
-    from the similarity by base's factors (see _probe_base); NaN or inf
-    for a loop that is not finite."""
-    D = A_cl - base.A_cl
-    return base.radius + _fro(base.S @ D @ base.L) + base.unit * _fro(D)
-
-
-def _weyl_bounds(pair, norms, base):
-    """Lower bounds on the smallest eigenvalue of each matrix in the 2N
-    stack pair = [P; Sigma], whose Frobenius norms are norms, against base's
-    [P_0; Sigma_0]. By Weyl's inequality lambda_min(M) >= lambda_min(M_0) -
-    ||M - M_0||_2; eigvalsh's rounding, at most c m eps ||M||_2 on M_0's
-    lam and on what it would return for M, is covered by
-    64 m eps (||M_0||_F + ||M||_F)."""
-    N, m = len(pair) // 2, pair.shape[-1]
-    shifts = _fro(pair - np.repeat(base.pair, N, axis=0))
-    rounding = 64.0 * m * np.finfo(float).eps * (np.repeat(base.norms, N) + norms)
-    return np.repeat(base.lam, N) - shifts - rounding
-
-
-def _screened_min_eig(pair, norms, base):
-    """The smallest eigenvalue of each matrix in the stack pair, or, where
-    its Weyl bound clears the PSD floor, that bound: eigvalsh runs only on
-    the matrices the bound leaves undecided."""
-    lam = _weyl_bounds(pair, norms, base)
-    open_ = [_below_psd_floor(v, n) for v, n in zip(lam.tolist(), norms)]
-    if any(open_):
-        lam[open_] = _min_eig(pair[open_])
-    return lam
-
-
-def _certified_pair(A_cl, W_cl, X, base=None):
+def _certified_pair(A_cl, W_cl, X):
     """J, the Lyapunov pair, the PSD margins and the residual matrices of a
     stack of stable loops, and a dict of per-slice failures, each slice's
     first in evaluate's order: P solve, Sigma solve, PSD of P, PSD of
@@ -245,8 +143,7 @@ def _certified_pair(A_cl, W_cl, X, base=None):
 
     P and Sigma come from one certified solve over the 2N stack
     [A_cl; A_cl^T] with weights [W_cl; X], each slice bit-identical to
-    solving it alone. With a _Base, a margin its Weyl bound clears is that
-    bound rather than the smallest eigenvalue."""
+    solving it alone."""
     N = len(A_cl)
     A = np.concatenate((A_cl, A_cl.swapaxes(-1, -2)))
     W = np.empty(A.shape)
@@ -254,7 +151,7 @@ def _certified_pair(A_cl, W_cl, X, base=None):
     W[N:] = X
     pair, residuals, norms, solve_errors = _solve_dlyap_certified(A, W)
     P, Sigma = pair[:N], pair[N:]
-    lam = _min_eig(pair) if base is None else _screened_min_eig(pair, norms, base)
+    lam = _min_eig(pair)
     margins = lam.tolist()
     errors = {}
     for k in range(N):
@@ -272,7 +169,7 @@ def _certified_pair(A_cl, W_cl, X, base=None):
 _OVERFLOW = "closed loop overflows: {} has non-finite entries"
 
 
-def _closed_loop_pass(plant, gains, X, base=None):
+def _closed_loop_pass(plant, gains, X):
     """evaluate over a stack of N controllers of one plant, slice by slice.
 
     gains is a _Gains stack and X the (2n, 2n) second-moment array. A
@@ -281,30 +178,22 @@ def _closed_loop_pass(plant, gains, X, base=None):
     and a stable slice whose W_cl overflows fails next. The remaining
     slices' Lyapunov pairs are solved by the route of their size and
     checked by the backward-error certificate and the PSD floors, each of
-    which a NaN fails. With a _Base, a slice its spectral bound clears
-    skips the eigvals screen and a margin its Weyl bound clears skips
-    eigvalsh. A slice's results are bit-identical to evaluating it alone,
-    and a failure is reported per slice, never raised. Returns _Slices.
+    which a NaN fails. A slice's results are bit-identical to evaluating
+    it alone, and a failure is reported per slice, never raised. Returns
+    _Slices.
     """
     threshold = 1.0 - STABILITY_MARGIN
     # overflow is screened below, slice by slice, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         loop = assemble(plant, gains)
-        bounds = None if base is None else _spectral_bounds(loop.A_cl, base)
     finite_A = np.isfinite(loop.A_cl).all(axis=(1, 2))
     finite_W = np.isfinite(loop.W_cl).all(axis=(1, 2))
-    exact = finite_A
-    if bounds is not None:
-        cleared = bounds < threshold  # False on NaN: a loop that overflows
-        exact = finite_A & ~cleared
-    if exact.all():
+    if finite_A.all():
         rho = _spectral_radii(loop.A_cl)
     else:
         rho = np.full(len(finite_A), np.nan)
-        if bounds is not None:
-            rho[cleared] = bounds[cleared]
-        if exact.any():
-            rho[exact] = _spectral_radii(loop.A_cl[exact])
+        if finite_A.any():
+            rho[finite_A] = _spectral_radii(loop.A_cl[finite_A])
     errors = {}
     screen = zip(rho.tolist(), finite_A.tolist(), finite_W.tolist())
     for k, (r, a_ok, w_ok) in enumerate(screen):
@@ -315,31 +204,31 @@ def _closed_loop_pass(plant, gains, X, base=None):
         elif not w_ok:
             errors[k] = SolverDiverged(_OVERFLOW.format("W_cl"))
     if not errors:
-        return _Slices(rho, *_certified_pair(loop.A_cl, loop.W_cl, X, base))
+        return _Slices(rho, *_certified_pair(loop.A_cl, loop.W_cl, X))
     J = np.full(len(rho), np.nan)
     if len(errors) == len(rho):
         return _Slices(rho, J, None, None, None, None, None, errors)
     live = np.array([k for k in range(len(rho)) if k not in errors])
     J_live, *certified, live_errors = _certified_pair(
-        loop.A_cl[live], loop.W_cl[live], X, base
+        loop.A_cl[live], loop.W_cl[live], X
     )
     J[live] = J_live
     errors.update((int(live[k]), exc) for k, exc in live_errors.items())
     return _Slices(rho, J, *certified, errors)
 
 
-def _stacked_costs(plant, gains, X, base=None):
+def _stacked_costs(plant, gains, X):
     """J, rho and the per-slice failures of N controllers, as arrays of N
     and a dict from slice index to exception, from _closed_loop_pass run
-    with base in chunks of at most _STACK_SLICES slices whose largest
-    per-slice arrays, one for each of the two solves, fit _STACK_BYTES. J
-    of a failed slice is undefined."""
+    in chunks of at most _STACK_SLICES slices whose largest per-slice
+    arrays, one for each of the two solves, fit _STACK_BYTES. J of a
+    failed slice is undefined."""
     N = len(gains.A_K)
-    size = max(1, min(_STACK_SLICES, _STACK_BYTES // (2 * _route_bytes(2 * plant.n))))
+    size = _chunk_size(2 * _route_bytes(2 * plant.n))
     J, rho, errors = np.empty(N), np.empty(N), {}
     for start in range(0, N, size):
         chunk = _Gains(*(g[start : start + size] for g in gains))
-        out = _closed_loop_pass(plant, chunk, X, base)
+        out = _closed_loop_pass(plant, chunk, X)
         J[start : start + size] = out.J
         rho[start : start + size] = out.rho
         errors.update((start + k, exc) for k, exc in out.errors.items())

@@ -2,24 +2,27 @@
 
 The gradient of J with respect to (A_K, B_K, C_K) has a closed form in
 the blocks of the Lyapunov pair (P, Sigma) of the current closed loop.
-A central finite-difference gradient is provided for cross-checking; it
-evaluates the probes of all coordinates in batched passes through the
-stacked closed-loop pass of the cost module. The passes are screened from
-the certified base point: a probe whose spectral radius and PSD margins
-the base pair's bounds clear takes no eigen-decomposition, and every other
-probe is judged as evaluate judges it."""
+An independent numerical gradient is provided for cross-checking: the
+complex-step derivative dJ/dtheta_c = Im J(theta + i h e_c) / h (Squire &
+Trapp 1998, SIAM Rev. 40; Martins, Sturdza & Alonso 2003, ACM TOMS 29).
+It subtracts nothing, so it is exact to rounding whatever the stiffness of
+the loop. The real part of every probe is the base loop, which evaluate
+has certified, so no probe needs its own stability or PSD check, nor a
+smaller step near the stability boundary."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import _Gains, _probe_base, _stacked_costs, evaluate
-from .errors import NotStabilizing
-from .model import Controller, as_second_moment, controller_to_vector
+from .cost import _chunk_size, _Gains, evaluate
+from .matops import _route_bytes, _solve_dlyap_certified, _symmetrize
+from .model import Controller, as_second_moment, assemble, controller_to_vector
 
-# Halvings of the finite-difference step before giving up on a coordinate
-# whose perturbation keeps leaving the stabilizing set.
-FD_MAX_HALVINGS = 20
+# Imaginary step h of the complex-step derivative. Im J(theta + i h e_c)
+# is h dJ/dtheta_c up to a term of order h^3, and no difference is taken,
+# so h may be as small as the exponent range allows; 1e-30 puts that term
+# far below rounding and is the customary choice.
+COMPLEX_STEP = 1e-30
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,80 +86,50 @@ def analytic_gradient(plant, controller, X, report=None):
     return GradientTriple(dA_K=dA_K, dB_K=dB_K, dC_K=dC_K)
 
 
-def _coordinate_name(controller, c):
-    """Name of the parameter at index c of controller_to_vector's layout,
-    as in "B_K[1, 0]"."""
-    for key in ("A_K", "B_K", "C_K"):
-        M = getattr(controller, key)
-        if c < M.size:
-            return f"{key}{list(divmod(c, M.shape[1]))}"
-        c -= M.size
+def finite_difference_gradient(plant, controller, X):
+    """Complex-step gradient of J, exact to rounding, for cross-checking
+    analytic_gradient.
 
+    One evaluate at the base point fails fast, with its stability screen,
+    its certificates and its PSD floors. Each coordinate c then takes one
+    complex probe theta + i h e_c, with h = COMPLEX_STEP, and J = Tr(P X)
+    needs only its P. The probes go in chunks to the certified Lyapunov
+    kernel, one solve each, and each solution must pass the backward-error
+    certificate on |.| norms; the first coordinate whose probe fails raises
+    its SolverDiverged. No probe takes an eigen-decomposition: its real
+    part is the base loop, whose verdicts hold for it.
 
-def finite_difference_gradient(plant, controller, X, step=1e-6):
-    """Central-difference gradient, in batched passes over all coordinates.
-
-    Each coordinate uses a relative step h = step * (1 + |theta_i|). One
-    pass evaluates the +h and -h probes of every open coordinate in one
-    stacked closed-loop pass. Near the stability boundary the step is
-    halved, up to 20 times, until both one-sided evaluations stay
-    stabilizing: a coordinate whose +h probe, or else whose -h probe, is
-    not stabilizing halves its step and goes into the next pass. A solver
-    failure of the probe so decided, or running out of halvings, raises;
-    errors are resolved in coordinate order, so the exception is that of
-    the first coordinate that fails. The base point's cost report screens
-    the probes (see cost._probe_base), and the result is bit-identical to
-    evaluating them one by one. A step that is not positive and finite
-    raises ValueError.
+    Raises
+    ------
+    NotStabilizing, SolverDiverged
+        As evaluate raises them at the base point, or SolverDiverged of the
+        first probe that fails its certificate.
     """
-    if not (np.isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
     X = as_second_moment(X, plant.n)
-    report = evaluate(plant, controller, X)  # fail fast at the base point
-    base = _probe_base(plant, controller, report)
+    evaluate(plant, controller, X)  # fail fast at the base point
     X = X.X
     theta = controller_to_vector(controller)
     splits = np.cumsum([controller.A_K.size, controller.B_K.size])
     shapes = (controller.A_K.shape, controller.B_K.shape, controller.C_K.shape)
-    h = step * (1.0 + np.abs(theta))
-    grad = np.empty_like(theta)
-    open_ = np.arange(theta.size)
-    failure = None
-    for _ in range(FD_MAX_HALVINGS + 1):
-        q = len(open_)
-        probes = np.tile(theta, (2 * q, 1))
-        rows = np.arange(q)
-        probes[rows, open_] += h[open_]
-        probes[q + rows, open_] -= h[open_]
-        gains = _Gains(
-            *(
-                block.reshape((2 * q,) + shape)
-                for block, shape in zip(np.split(probes, splits, axis=1), shapes)
-            )
-        )
-        J, _, errors = _stacked_costs(plant, gains, X, base)
-        halve = []
-        for j, c in enumerate(open_):
-            exc = errors.get(j, errors.get(q + j))  # +h is decided before -h
-            if exc is None:
-                grad[c] = (J[j] - J[q + j]) / (2.0 * h[c])
-            elif isinstance(exc, NotStabilizing):
-                halve.append(c)
-            else:
-                failure = exc  # later coordinates no longer matter
-                break
-        h[halve] *= 0.5
-        open_ = np.array(halve, dtype=int)
-        if not len(open_):
-            break
-    else:
-        failure = NotStabilizing(
-            f"finite difference in {_coordinate_name(controller, int(open_[0]))} "
-            "kept leaving the stabilizing set"
-        )
-    if failure is not None:
-        raise failure
+    q = theta.size
+    probes = np.tile(theta.astype(complex), (q, 1))
+    probes[np.arange(q), np.arange(q)] += 1j * COMPLEX_STEP
+    gains = [
+        block.reshape((q,) + shape)
+        for block, shape in zip(np.split(probes, splits, axis=1), shapes)
+    ]
+    # one solve a probe, of 16-byte entries: the slices per chunk of two
+    # 8-byte solves in the cost module's passes
+    size = _chunk_size(_route_bytes(2 * plant.n, itemsize=16))
+    J = np.empty(q, complex)
+    for start in range(0, q, size):
+        loop = assemble(plant, _Gains(*(g[start : start + size] for g in gains)))
+        P, _, _, errors = _solve_dlyap_certified(loop.A_cl, _symmetrize(loop.W_cl))
+        if errors:
+            raise errors[min(errors)]
+        J[start : start + size] = (P @ X).trace(axis1=1, axis2=2)
     dA_K, dB_K, dC_K = (
-        block.reshape(shape) for block, shape in zip(np.split(grad, splits), shapes)
+        block.reshape(shape)
+        for block, shape in zip(np.split(J.imag / COMPLEX_STEP, splits), shapes)
     )
     return GradientTriple(dA_K=dA_K, dB_K=dB_K, dC_K=dC_K)

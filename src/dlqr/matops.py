@@ -17,10 +17,13 @@ constant and no solver takes a tolerance argument.
 
 Each Lyapunov route works on a stack of N matrices of one size. Every
 stacked step is the same per-slice numpy or LAPACK operation as its 2-d
-form, so a slice's result is bit-identical to solving it alone. Per-slice
-decisions (stop rules, certificates) compare Python floats, which on the
-few slices of a stack is cheaper than numpy's per-call cost. Each
-certificate passes only on `value <= bound`, which a NaN fails.
+form, so a slice's result is bit-identical to solving it alone. Both
+routes take transposes, never conjugates, so on a complex stack they solve
+the same equation, analytic in A and W, and the certificate judges it on
+|.| norms. Per-slice decisions (stop rules, certificates) compare Python
+floats, which on the few slices of a stack is cheaper than numpy's
+per-call cost. Each certificate passes only on `value <= bound`, which a
+NaN fails.
 
 A Riccati equation is solved in two phases. The fixed-point map from
 P = Q runs only until its gain is stabilizing. Newton-Hewer steps then
@@ -50,7 +53,7 @@ from .errors import (
 
 # Closed-loop dimension at or below which the Lyapunov solve is a direct
 # Kronecker linear solve; above it the squaring iteration is used. Set from
-# the stacked pass of one finite-difference gradient, per probe, with the
+# the stacked pass of one central-difference gradient, per probe, with the
 # chunks each route gets (medians over 5 generated plants, one BLAS
 # thread, 2-core x86 machine; microseconds, Kronecker / doubling):
 #   m = 2: 37 / 53, m = 4: 40 / 41, m = 6: 172 / 48, m = 8: 416 / 69,
@@ -115,11 +118,12 @@ def _symmetrize(M):
 
 
 def _fro(M):
-    """Frobenius norm of each matrix in the stack M, bit-identical to
-    np.linalg.norm of the slice: both take one dot product of the
-    row-major entries."""
+    """Frobenius norm of each matrix in the stack M, real or complex: one
+    dot product of the row-major entries with their conjugates, which on a
+    real stack is bit-identical to np.linalg.norm of the slice."""
     v = M.reshape(len(M), 1, -1)
-    return np.sqrt(np.matmul(v, v.transpose(0, 2, 1)).ravel())
+    w = v.conj() if np.iscomplexobj(v) else v
+    return np.sqrt(np.matmul(v, w.transpose(0, 2, 1)).real.ravel())
 
 
 def _check_symmetric(M, name):
@@ -184,10 +188,11 @@ def spectral_radius(M):
     return float(_spectral_radii(M))
 
 
-def _route_bytes(m):
+def _route_bytes(m, itemsize=8):
     """Bytes of the largest per-slice array the Lyapunov route of size m
-    builds: the m^2 x m^2 Kronecker system, or an m x m doubling iterate."""
-    return 8 * m**4 if m <= KRON_DIM_LIMIT else 8 * m * m
+    builds, at itemsize bytes an entry: the m^2 x m^2 Kronecker system, or
+    an m x m doubling iterate."""
+    return itemsize * (m**4 if m <= KRON_DIM_LIMIT else m * m)
 
 
 def _kron_route(A, W):
@@ -235,7 +240,7 @@ def _doubling_route(A, W):
     residual certificate rejects it. Returns the solutions and the indices
     of the slices that exhausted MAX_ITER."""
     P, M = W.copy(), A.copy()
-    out = np.empty(A.shape)
+    out = np.empty(A.shape, np.result_type(A, W))
     live = np.arange(len(A))
     half_tol = 0.5 * SOLVER_RTOL
     for _ in range(MAX_ITER):

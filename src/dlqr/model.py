@@ -201,13 +201,16 @@ def assemble(plant, controller):
     if C_K.shape[-2] != m:
         raise DimensionMismatch(f"C_K must have {m} rows, got {C_K.shape[-2:]}")
     # Filled block by block: np.block would cost more than the products.
+    # Complex gains, as the complex-step gradient passes, give a complex
+    # loop.
     shape = A_K.shape[:-2] + (2 * n, 2 * n)
-    A_cl = np.empty(shape)
+    dtype = np.result_type(A_K, B_K, C_K, plant.A)
+    A_cl = np.empty(shape, dtype)
     A_cl[..., :n, :n] = plant.A
     A_cl[..., :n, n:] = plant.B @ C_K
     A_cl[..., n:, :n] = B_K @ plant.C
     A_cl[..., n:, n:] = A_K
-    W_cl = np.zeros(shape)
+    W_cl = np.zeros(shape, dtype)
     W_cl[..., :n, :n] = plant.Q
     W_cl[..., n:, n:] = C_K.swapaxes(-1, -2) @ plant.R @ C_K
     return ClosedLoop(A_cl, W_cl)

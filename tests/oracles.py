@@ -3,15 +3,19 @@
 Everything here is deliberately written against plain numpy arrays, not
 against the package's own types, so a bug in the library cannot hide
 inside its own test oracle. The one exception is finite_difference_oracle,
-the per-coordinate reference loop that the batched finite-difference
-gradient must reproduce bit for bit; it calls the package's evaluate once
+a central-difference gradient, coordinate by coordinate, independent of
+the library's complex-step gradient; it calls the package's evaluate once
 per probe."""
 
 import numpy as np
 
 import dlqr
 from dlqr import Controller, NotStabilizing
-from dlqr.gradient import FD_MAX_HALVINGS
+
+# Halvings of a central-difference step before finite_difference_oracle
+# gives up on a coordinate whose perturbation keeps leaving the stabilizing
+# set.
+FD_MAX_HALVINGS = 20
 
 
 def scalar_dare_control_root(a, b, q, r):
@@ -207,11 +211,12 @@ def _fd_coordinate(plant, controller, X, mats, key, idx, base):
 
 def finite_difference_oracle(plant, controller, X, step=1e-6):
     """Central-difference gradient, coordinate by coordinate, one evaluate
-    per probe: the reference for dlqr.finite_difference_gradient.
+    per probe: an independent reference for dlqr.finite_difference_gradient,
+    accurate to its truncation error, O(step^2) relative.
 
     Each coordinate uses a relative step h = step * (1 + |theta_i|). Near
-    the stability boundary the step is halved (up to 20 times) until both
-    one-sided evaluations stay stabilizing.
+    the stability boundary the step is halved (up to FD_MAX_HALVINGS times)
+    until both one-sided evaluations stay stabilizing.
     """
     dlqr.evaluate(plant, controller, X)  # fail fast at the base point
     mats = {"A_K": controller.A_K, "B_K": controller.B_K, "C_K": controller.C_K}

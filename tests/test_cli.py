@@ -11,7 +11,7 @@ from dlqr import cli, matops
 from dlqr.cli import main
 
 from conftest import problem_dict, wire
-from oracles import random_pd_second_moment, random_plant_arrays
+from oracles import draw_plant, random_pd_second_moment, random_plant_arrays
 
 
 def read_csv(path):
@@ -517,11 +517,30 @@ def bare_problem_file(tmp_path):
 def test_gradcheck_rejects_a_step_that_is_not_positive_and_finite(
     tmp_path, capsys, step
 ):
-    # without the check, step 0 gives NaN differences that used to PASS
+    # the complex step is a module constant, so --step is an unknown flag
+    # whatever its value, and gradcheck --help no longer offers it
     argv = ["gradcheck", "--problem", bare_problem_file(tmp_path), "--trials", "1",
             f"--step={step}"]
     assert main(argv) == 3
-    assert "step must be positive and finite" in capsys.readouterr().err
+    assert f"unrecognized arguments: --step={step}" in capsys.readouterr().err
+    assert main(["gradcheck", "--help"]) == 0
+    assert "--step" not in capsys.readouterr().out
+
+
+def test_gradcheck_passes_on_a_stiff_observer_based_loop(tmp_path, capsys):
+    # rho = 0.961 and ||grad J|| = 2.8e7: central differences read 7.3e-5
+    # here, past the default --tol of 1e-5, on a correct gradient
+    arrays, X = draw_plant(np.random.default_rng((13, 5)), 5)
+    plant = dlqr.Plant(**arrays)
+    _, K = dlqr.solve_dare_control(plant)
+    _, L = dlqr.solve_dare_filter(plant, np.eye(5))
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(problem_dict(arrays, X, dlqr.observer_based(plant, K, L))))
+    argv = ["gradcheck", "--problem", str(path), "--trials", "0", "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is True and payload["tol"] == cli.GRADCHECK_DEFAULT_TOL
+    assert payload["max_rel_err"] <= 1e-10
 
 
 @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])

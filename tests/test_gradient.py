@@ -3,7 +3,9 @@ import pytest
 
 import dlqr
 from dlqr import Controller, NotStabilizing, SolverDiverged
-from dlqr import gradient as gradient_mod
+from dlqr import cost as cost_mod
+from dlqr import matops
+from dlqr.cli import GRADCHECK_DEFAULT_TOL
 
 from oracles import (
     draw_plant,
@@ -87,29 +89,28 @@ def test_gradient_triple_shapes_and_direction():
     assert grad.norm == pytest.approx(float(manual), rel=1e-15)
 
 
-def find_near_boundary_controller(plant, lo=-0.944, hi=0.0):
+def find_near_boundary_controller(plant, bisections=30, back_off=1e-6):
     # push C_K toward the instability boundary by bisection, then back off
-    # a hair so the base point itself is comfortably inside while the
-    # default finite-difference step still crosses out
+    # a hair so the base point itself is comfortably inside while a real
+    # step of 1e-4 still crosses out
     def stabilizing(c):
         return dlqr.is_stabilizing(plant, Controller(A_K=-0.944, B_K=1.1, C_K=c))
 
+    lo, hi = -0.944, 0.0
     assert stabilizing(lo) and not stabilizing(hi)
-    for _ in range(30):
+    for _ in range(bisections):
         mid = 0.5 * (lo + hi)
         if stabilizing(mid):
             lo = mid
         else:
             hi = mid
-    return Controller(A_K=-0.944, B_K=1.1, C_K=lo - 1e-6)
+    return Controller(A_K=-0.944, B_K=1.1, C_K=lo - back_off)
 
 
-def test_finite_differences_shrink_near_stability_boundary(ex1_plant, cross_X):
-    # at the boundary the requested step leaves the stabilizing set, so the
-    # halving fallback must engage. The cost has a pole there, so central
-    # differences cannot be metrically accurate once the step is comparable
-    # to the pole distance; the check is that the probe succeeds and points
-    # the same way as the analytic gradient.
+def test_complex_step_is_exact_near_stability_boundary(ex1_plant, cross_X):
+    # a real step of 1e-4 leaves the stabilizing set here, and central
+    # differences would have to shrink it; the complex step keeps the real
+    # part of every probe on the base loop, so it needs no smaller step
     controller = find_near_boundary_controller(ex1_plant)
     h = 1e-4 * (1.0 + abs(controller.C_K[0, 0]))
     bumped = Controller(
@@ -117,14 +118,21 @@ def test_finite_differences_shrink_near_stability_boundary(ex1_plant, cross_X):
     )
     with pytest.raises(NotStabilizing):
         dlqr.evaluate(ex1_plant, bumped, cross_X)
-
     ga = dlqr.analytic_gradient(ex1_plant, controller, cross_X)
-    gf = dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4)
-    va = np.concatenate([gf.dA_K.ravel(), gf.dB_K.ravel(), gf.dC_K.ravel()])
-    vb = np.concatenate([ga.dA_K.ravel(), ga.dB_K.ravel(), ga.dC_K.ravel()])
-    assert np.all(np.isfinite(va))
-    cosine = float(va @ vb) / (np.linalg.norm(va) * np.linalg.norm(vb))
-    assert cosine >= 0.9
+    gf = dlqr.finite_difference_gradient(ex1_plant, controller, cross_X)
+    assert stacked_diff(ga, gf) <= 1e-10 * (1.0 + ga.norm)
+
+
+def test_complex_step_on_the_boundary_to_rounding(ex1_plant, cross_X):
+    # rho within a few rounding errors of 1 - STABILITY_MARGIN, where a
+    # real step leaves the stabilizing set even after 20 halvings: every
+    # complex probe is as stable as the base, and the check passes at
+    # gradcheck's tolerance
+    controller = find_near_boundary_controller(ex1_plant, bisections=80, back_off=0.0)
+    ga = dlqr.analytic_gradient(ex1_plant, controller, cross_X)
+    gf = dlqr.finite_difference_gradient(ex1_plant, controller, cross_X)
+    assert ga.norm > 1e15
+    assert stacked_diff(ga, gf) <= GRADCHECK_DEFAULT_TOL * (1.0 + ga.norm)
 
 
 def test_finite_differences_reject_nonstabilizing_base(ex1_plant, cross_X):
@@ -138,32 +146,29 @@ def test_finite_differences_reject_nonstabilizing_base(ex1_plant, cross_X):
 def test_finite_differences_reject_a_step_that_is_not_positive_and_finite(
     ex1_plant, rounded_k1, cross_X, step
 ):
-    with pytest.raises(ValueError, match="step must be positive and finite"):
+    # the complex step h is the module constant COMPLEX_STEP, not a
+    # parameter: no step is taken, whatever its value
+    with pytest.raises(TypeError, match="step"):
         dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X, step=step)
 
 
-def assert_same_gradient(ga, gb):
-    for a, b in zip((ga.dA_K, ga.dB_K, ga.dC_K), (gb.dA_K, gb.dB_K, gb.dC_K)):
-        assert a.shape == b.shape
-        assert a.tobytes() == b.tobytes()
+def assert_exact_gradient(plant, controller, X):
+    """The complex-step gradient matches the closed form to 1e-10 and the
+    central-difference oracle to its truncation error, relative to
+    1 + ||grad||, gradcheck's scale."""
+    grad = dlqr.finite_difference_gradient(plant, controller, X)
+    ga = dlqr.analytic_gradient(plant, controller, X)
+    assert stacked_diff(ga, grad) <= 1e-10 * (1.0 + ga.norm)
+    central = finite_difference_oracle(plant, controller, X)
+    assert stacked_diff(central, grad) <= 1e-6 * (1.0 + ga.norm)
+    return grad
 
 
 def test_batched_finite_differences_match_per_coordinate_loop(
     ex1_plant, ex2_plant, rounded_k1, rounded_k2, cross_X
 ):
     for plant, controller in ((ex1_plant, rounded_k1), (ex2_plant, rounded_k2)):
-        assert_same_gradient(
-            dlqr.finite_difference_gradient(plant, controller, cross_X),
-            finite_difference_oracle(plant, controller, cross_X),
-        )
-
-
-def test_batched_finite_differences_match_loop_through_halvings(ex1_plant, cross_X):
-    controller = find_near_boundary_controller(ex1_plant)
-    assert_same_gradient(
-        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
-        finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-4),
-    )
+        assert_exact_gradient(plant, controller, cross_X)
 
 
 def test_batched_finite_differences_match_loop_two_inputs_two_outputs():
@@ -173,98 +178,7 @@ def test_batched_finite_differences_match_loop_two_inputs_two_outputs():
         X = random_pd_second_moment(rng, n)
         controller = dlqr.random_stabilizing_init(plant, 3)
         assert controller.B_K.shape == (n, 2) and controller.C_K.shape == (2, n)
-        assert_same_gradient(
-            dlqr.finite_difference_gradient(plant, controller, X),
-            finite_difference_oracle(plant, controller, X),
-        )
-
-
-def _raised(fn):
-    try:
-        fn()
-    except dlqr.DlqrError as exc:
-        return type(exc), str(exc)
-    raise AssertionError("no error raised")
-
-
-def test_exhausted_halvings_raise_as_the_loop_does(ex1_plant, cross_X):
-    # on the boundary to rounding, some coordinate leaves the stabilizing
-    # set even after 20 halvings of a large step
-    lo, hi = -0.944, 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if dlqr.is_stabilizing(ex1_plant, Controller(A_K=-0.944, B_K=1.1, C_K=mid)):
-            lo = mid
-        else:
-            hi = mid
-    controller = Controller(A_K=-0.944, B_K=1.1, C_K=lo)
-    batched = _raised(
-        lambda: dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-2)
-    )
-    loop = _raised(lambda: finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-2))
-    assert batched == loop
-    assert batched[0] is NotStabilizing
-    assert "kept leaving the stabilizing set" in batched[1]
-
-
-def _inject(monkeypatch, probes):
-    """Make the probes named in probes, (A_K, B_K, C_K) scalar triples, fail
-    with SolverDiverged naming the probe, in the batched gradient and in
-    the loop's evaluate alike."""
-    original_costs = gradient_mod._stacked_costs
-    original_evaluate = dlqr.evaluate
-
-    def message(triple):
-        return f"injected at {tuple(float(v) for v in triple)}"
-
-    def stacked(plant, gains, X, base=None):
-        J, rho, errors = original_costs(plant, gains, X, base)
-        for k in range(len(gains.A_K)):
-            triple = (gains.A_K[k, 0, 0], gains.B_K[k, 0, 0], gains.C_K[k, 0, 0])
-            if triple in probes and k not in errors:
-                errors[k] = SolverDiverged(message(triple))
-        return J, rho, errors
-
-    def evaluate(plant, controller, X):
-        triple = (controller.A_K[0, 0], controller.B_K[0, 0], controller.C_K[0, 0])
-        report = original_evaluate(plant, controller, X)
-        if triple in probes:
-            raise SolverDiverged(message(triple))
-        return report
-
-    monkeypatch.setattr(gradient_mod, "_stacked_costs", stacked)
-    monkeypatch.setattr(dlqr, "evaluate", evaluate)
-
-
-def test_solver_failure_of_minus_probe_after_unstable_plus_probe_halves(
-    ex1_plant, cross_X, monkeypatch
-):
-    # the loop never evaluates -h once +h left the stabilizing set, so a
-    # failure there must halve the step, not raise
-    controller = find_near_boundary_controller(ex1_plant)
-    a, b, c = (float(M[0, 0]) for M in (controller.A_K, controller.B_K, controller.C_K))
-    h = 1e-4 * (1.0 + abs(c))
-    assert not dlqr.is_stabilizing(ex1_plant, Controller(A_K=a, B_K=b, C_K=c + h))
-    expected = dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4)
-    _inject(monkeypatch, {(a, b, c - h)})
-    assert_same_gradient(
-        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
-        finite_difference_oracle(ex1_plant, controller, cross_X, step=1e-4),
-    )
-    assert_same_gradient(
-        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X, step=1e-4),
-        expected,
-    )
-
-
-def test_solver_failures_raise_in_coordinate_order(ex1_plant, rounded_k1, cross_X, monkeypatch):
-    a, b, c = (float(M[0, 0]) for M in (rounded_k1.A_K, rounded_k1.B_K, rounded_k1.C_K))
-    step = lambda v: 1e-6 * (1.0 + abs(v))  # noqa: E731
-    # -h of C_K and +h of B_K fail; B_K comes first
-    _inject(monkeypatch, {(a, b, c - step(c)), (a, b + step(b), c)})
-    batched = _raised(lambda: dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X))
-    loop = _raised(lambda: finite_difference_oracle(ex1_plant, rounded_k1, cross_X))
-    assert batched == loop == (SolverDiverged, f"injected at {(a, b + step(b), c)}")
+        assert_exact_gradient(plant, controller, X)
 
 
 def _observer_instance(arrays):
@@ -276,10 +190,65 @@ def _observer_instance(arrays):
     return plant, dlqr.observer_based(plant, K, L)
 
 
-def test_probes_cleared_from_the_base_need_no_eigen_decomposition(monkeypatch):
+def test_complex_step_passes_gradcheck_on_a_stiff_loop():
+    # rho = 0.961 and ||grad J|| = 2.8e7: central differences at a step of
+    # 1e-6 leave a discrepancy of 7.3e-5 on this correct gradient, past
+    # gradcheck's 1e-5
+    arrays, X = draw_plant(np.random.default_rng((13, 5)), 5)
+    plant, controller = _observer_instance(arrays)
+    ga = dlqr.analytic_gradient(plant, controller, X)
+    gf = dlqr.finite_difference_gradient(plant, controller, X)
+    assert ga.norm > 1e7
+    assert stacked_diff(ga, gf) <= 1e-10 * (1.0 + ga.norm)
+
+
+def _fail_probes(monkeypatch, failures):
+    """Make the route's solution of each complex slice come back as
+    failures[(i, j)] times itself, where (i, j) is the entry of A_cl that
+    carries the slice's imaginary step; real solves, the base evaluate's,
+    are left alone."""
+    kron, doubling = matops._kron_route, matops._doubling_route
+
+    def scaled(A, P):
+        if np.iscomplexobj(A):
+            P = P.copy()
+            for k, a in enumerate(A):
+                for entry, factor in failures.items():
+                    if a[entry].imag != 0.0:
+                        P[k] *= factor
+        return P
+
+    monkeypatch.setattr(matops, "_kron_route", lambda A, W: scaled(A, kron(A, W)))
+    monkeypatch.setattr(
+        matops, "_doubling_route", lambda A, W: (scaled(A, doubling(A, W)[0]), ())
+    )
+
+
+def test_solver_failures_raise_in_coordinate_order(
+    ex1_plant, rounded_k1, cross_X, monkeypatch
+):
+    # Example 1's loop is [[A, B C_K], [B_K C, A_K]]: the probe of B_K
+    # (coordinate 1) moves entry (1, 0), that of C_K (coordinate 2) entry
+    # (0, 1). Both fail their certificates, each in its own way, in one
+    # chunk or, below one slice's budget, in chunks of one probe: B_K's
+    # failure is raised
+    cases = [
+        ({(1, 0): np.nan, (0, 1): 2.0}, "Lyapunov solution is not finite"),
+        ({(1, 0): 2.0, (0, 1): np.nan}, "Lyapunov residual"),
+    ]
+    for stack_bytes in (cost_mod._STACK_BYTES, 1):
+        for failures, message in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(cost_mod, "_STACK_BYTES", stack_bytes)
+                _fail_probes(patch, failures)
+                with pytest.raises(SolverDiverged, match=message):
+                    dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X)
+
+
+def test_complex_probes_need_no_eigen_decomposition(monkeypatch):
     # generated-certify's first 6-state plant at seed 1: the base evaluate
     # takes one eigvals and one eigvalsh (X is validated beforehand), and
-    # the bounds of the base pair clear every probe
+    # no probe takes either
     arrays, X = draw_plant(np.random.default_rng((1, 6, 0, 0)), 6)
     plant, controller = _observer_instance(arrays)
     X = dlqr.SecondMoment(X)
@@ -292,38 +261,7 @@ def test_probes_cleared_from_the_base_need_no_eigen_decomposition(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    grad = dlqr.finite_difference_gradient(plant, controller, X)
+    dlqr.finite_difference_gradient(plant, controller, X)
     assert calls == {"eigvals": 1, "eigvalsh": 1}
     monkeypatch.undo()
-    assert_same_gradient(grad, finite_difference_oracle(plant, controller, X))
-
-
-def test_finite_differences_match_loop_where_probes_leave_the_bound(monkeypatch):
-    # B_K scaled to within 1e-9 of the stability boundary: some probes are
-    # not stabilizing, so no bound clears them, and their steps halve
-    rng = np.random.default_rng(7)
-    plant, controller = _observer_instance(random_plant_arrays(rng, 3, 2, 2))
-    X = random_pd_second_moment(rng, 3)
-
-    def scaled(s):
-        return Controller(A_K=controller.A_K, B_K=s * controller.B_K, C_K=controller.C_K)
-
-    lo, hi = 1.0, 8.0
-    assert not dlqr.is_stabilizing(plant, scaled(hi))
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if dlqr.is_stabilizing(plant, scaled(mid)) else (lo, mid)
-    near = scaled(lo * (1.0 - 1e-9))
-    unstable = []
-    original = gradient_mod._stacked_costs
-
-    def recorded(plant, gains, X, base=None):
-        assert base is not None
-        J, rho, errors = original(plant, gains, X, base)
-        unstable.append(sum(isinstance(e, NotStabilizing) for e in errors.values()))
-        return J, rho, errors
-
-    monkeypatch.setattr(gradient_mod, "_stacked_costs", recorded)
-    grad = dlqr.finite_difference_gradient(plant, near, X, step=1e-4)
-    assert unstable[0] > 0 and len(unstable) > 1
-    assert_same_gradient(grad, finite_difference_oracle(plant, near, X, step=1e-4))
+    assert_exact_gradient(plant, controller, X.X)

@@ -174,6 +174,47 @@ def test_non_finite_lyapunov_solution_fails_the_certificate(m):
         _certified(A, np.eye(m))
 
 
+def test_fro_is_bit_identical_on_real_stacks():
+    # one dot product of the row-major entries, as np.linalg.norm takes it
+    rng = np.random.default_rng(17)
+    for shape in ((1, 1, 1), (5, 2, 2), (3, 7, 7), (2, 20, 20)):
+        M = rng.normal(size=shape) * 10.0 ** rng.uniform(-5, 5, (shape[0], 1, 1))
+        v = M.reshape(len(M), 1, -1)
+        expected = np.sqrt(np.matmul(v, v.transpose(0, 2, 1)).ravel())
+        assert matops._fro(M).tobytes() == expected.tobytes()
+        assert matops._fro(M).tolist() == [float(np.linalg.norm(m)) for m in M]
+
+
+def test_fro_is_a_norm_on_complex_stacks():
+    # sum(v * v) of a complex vector is not |v|^2: for 1j it is -1
+    assert matops._fro(np.array([[[1j]]])).tolist() == [1.0]
+    rng = np.random.default_rng(19)
+    for shape in ((4, 2, 2), (3, 8, 8)):
+        Z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        norms = matops._fro(Z)
+        assert norms.dtype == np.float64
+        assert_allclose(norms, [np.linalg.norm(z) for z in Z], rtol=1e-15)
+
+
+@pytest.mark.parametrize("m", [KRON_DIM_LIMIT, KRON_DIM_LIMIT + 4])
+def test_complex_stacks_solve_the_analytic_equation(m):
+    # P = W + A^T P A with transposes, not conjugates: at A + i h E its
+    # real part is the real solution and its imaginary part h dP, where
+    # dP = A^T dP A + E^T P A + A^T P E; it passes the certificate
+    rng = np.random.default_rng(23)
+    A = stable_random(rng, m, rho=0.9)
+    G = rng.normal(size=(m, m))
+    W = G @ G.T
+    E = rng.normal(size=(m, m))
+    h = 1e-30
+    P = _certified(A, W)
+    Z = _certified(A + 1j * h * E, W.astype(complex))
+    assert Z.dtype == np.complex128
+    assert_allclose(Z.real, P, rtol=1e-13)
+    dP = _certified(A, E.T @ P @ A + A.T @ P @ E)
+    assert_allclose(Z.imag / h, dP, rtol=1e-10, atol=1e-10 * np.linalg.norm(dP))
+
+
 def test_solve_dare_control_scalar_closed_form():
     for a, q in ((1.1, 5.0), (0.9, 5.0), (1.7, 0.3), (0.2, 2.0)):
         P, K = solve_dare_control(Plant(A=a, B=1.0, C=1.0, Q=q, R=1.0))
