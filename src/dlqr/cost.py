@@ -8,13 +8,15 @@ Tr(r_P Sigma) - Tr(P r_Sigma), where r_P and r_Sigma are the residual
 matrices those certificates computed, and the same two traces bound J's
 forward error to first order; evaluate reports that bound as J_error.
 
-One stacked closed-loop pass does this for N controllers of one plant at
-once: it assembles the N loops, screens them with one stacked eigvals,
-solves the stable ones' Lyapunov pairs in one stacked call, P on A_cl and
-Sigma on A_cl^T side by side, and checks every certificate slice by
-slice. evaluate is its N = 1 call; the landscape sweeps run many slices
-through it in chunks. evaluate's report carries rho, the PSD margins and
-J_error, so callers read them instead of recomputing them."""
+Two steps make every evaluation. The screen assembles a stack of N
+controllers' closed loops and takes their spectral radii with one stacked
+eigvals, failing a slice that overflows or is not stable. The certified
+pair solves the survivors' Lyapunov pairs in one stacked call, P on A_cl
+and Sigma on A_cl^T side by side, and checks every certificate and PSD
+floor slice by slice. evaluate composes the two on its one controller;
+the landscape sweeps compose them on chunks of many slices. evaluate's
+report carries rho, the PSD margins, J_error and the residual matrices
+r_P and r_Sigma, so callers read them instead of recomputing them."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,21 +64,24 @@ class CostReport:
     (state correlation), the second moment X they were computed for, and
     named 2x2 block accessors.
 
-    evaluate also records the closed-loop spectral radius rho, the
-    smallest eigenvalues lambda_min_P and lambda_min_Sigma of its PSD
-    checks, and J_error, a bound on |J - J_exact| taken from the residuals
-    of the Lyapunov certificates; they are None on a report built by
-    hand."""
+    evaluate, the one code that builds a report, also records the
+    closed-loop spectral radius rho, the smallest eigenvalues lambda_min_P
+    and lambda_min_Sigma of its PSD checks, the residual matrices
+    r_P = P - W_cl - A_cl^T P A_cl (W_cl symmetrized) and
+    r_Sigma = Sigma - X - A_cl Sigma A_cl^T of its Lyapunov certificates,
+    and J_error, a bound on |J - J_exact| taken from those residuals."""
 
     P: np.ndarray
     Sigma: np.ndarray
     X: np.ndarray
     J: float
     n: int
-    rho: float | None = None
-    lambda_min_P: float | None = None
-    lambda_min_Sigma: float | None = None
-    J_error: float | None = None
+    rho: float
+    lambda_min_P: float
+    lambda_min_Sigma: float
+    J_error: float
+    r_P: np.ndarray
+    r_Sigma: np.ndarray
 
     @property
     def P11(self):
@@ -112,34 +117,12 @@ class _Gains(NamedTuple):
     C_K: np.ndarray
 
 
-class _Slices(NamedTuple):
-    """Per-slice results of one stacked pass of N slices: rho and J over all
-    N (J of a slice that fails the screen is NaN, and so is rho of a slice
-    whose A_cl overflows), and P, Sigma and the PSD margins over the
-    slices that pass it in order, None if none does. residuals stacks the
-    certificates' residual matrices of those slices, r_P = P - W_cl -
-    A_cl^T P A_cl over the first half and r_Sigma = Sigma - X - A_cl Sigma
-    A_cl^T over the second. errors maps the index of each failed slice to
-    the exception evaluate raises for it; the other results of a failed
-    slice, except rho, are undefined.
-
-    """
-
-    rho: np.ndarray
-    J: np.ndarray
-    P: np.ndarray | None
-    Sigma: np.ndarray | None
-    lambda_min_P: np.ndarray | None
-    lambda_min_Sigma: np.ndarray | None
-    residuals: np.ndarray | None
-    errors: dict
-
-
 def _certified_pair(A_cl, W_cl, X):
     """J, the Lyapunov pair, the PSD margins and the residual matrices of a
-    stack of stable loops, and a dict of per-slice failures, each slice's
+    stack of N stable loops, and a dict of per-slice failures, each slice's
     first in evaluate's order: P solve, Sigma solve, PSD of P, PSD of
-    Sigma.
+    Sigma. The residual matrices stack the N slices' r_P, then their
+    r_Sigma.
 
     P and Sigma come from one certified solve over the 2N stack
     [A_cl; A_cl^T] with weights [W_cl; X], each slice bit-identical to
@@ -169,19 +152,12 @@ def _certified_pair(A_cl, W_cl, X):
 _OVERFLOW = "closed loop overflows: {} has non-finite entries"
 
 
-def _closed_loop_pass(plant, gains, X):
-    """evaluate over a stack of N controllers of one plant, slice by slice.
-
-    gains is a _Gains stack and X the (2n, 2n) second-moment array. A
-    slice whose assembled A_cl overflows fails with rho NaN; the others
-    are screened by their spectral radius against 1 - STABILITY_MARGIN,
-    and a stable slice whose W_cl overflows fails next. The remaining
-    slices' Lyapunov pairs are solved by the route of their size and
-    checked by the backward-error certificate and the PSD floors, each of
-    which a NaN fails. A slice's results are bit-identical to evaluating
-    it alone, and a failure is reported per slice, never raised. Returns
-    _Slices.
-    """
+def _screen(plant, gains):
+    """The closed loops of a _Gains stack of N controllers, their spectral
+    radii and a dict of per-slice failures, each slice's first in
+    evaluate's order: A_cl overflows (rho NaN), rho >= 1 - STABILITY_MARGIN,
+    W_cl overflows. One stacked eigvals screens the slices whose A_cl is
+    finite; a failure is reported per slice, never raised."""
     threshold = 1.0 - STABILITY_MARGIN
     # overflow is screened below, slice by slice, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
@@ -203,35 +179,32 @@ def _closed_loop_pass(plant, gains, X):
             errors[k] = NotStabilizing(f"closed-loop spectral radius {r} >= 1", rho=r)
         elif not w_ok:
             errors[k] = SolverDiverged(_OVERFLOW.format("W_cl"))
-    if not errors:
-        return _Slices(rho, *_certified_pair(loop.A_cl, loop.W_cl, X))
-    J = np.full(len(rho), np.nan)
-    if len(errors) == len(rho):
-        return _Slices(rho, J, None, None, None, None, None, errors)
-    live = np.array([k for k in range(len(rho)) if k not in errors])
-    J_live, *certified, live_errors = _certified_pair(
-        loop.A_cl[live], loop.W_cl[live], X
-    )
-    J[live] = J_live
-    errors.update((int(live[k]), exc) for k, exc in live_errors.items())
-    return _Slices(rho, J, *certified, errors)
+    return loop, rho, errors
 
 
 def _stacked_costs(plant, gains, X):
     """J, rho and the per-slice failures of N controllers, as arrays of N
-    and a dict from slice index to exception, from _closed_loop_pass run
-    in chunks of at most _STACK_SLICES slices whose largest per-slice
-    arrays, one for each of the two solves, fit _STACK_BYTES. J of a
-    failed slice is undefined."""
+    and a dict from slice index to the exception evaluate raises for that
+    controller; J of a failed slice is NaN. Each chunk of at most
+    _STACK_SLICES slices, whose largest per-slice arrays, one for each of
+    the two solves, fit _STACK_BYTES, is screened, and its slices that pass
+    get their certified pairs in one stacked call. Each slice's J is
+    bit-identical to evaluating it alone."""
     N = len(gains.A_K)
     size = _chunk_size(2 * _route_bytes(2 * plant.n))
-    J, rho, errors = np.empty(N), np.empty(N), {}
+    J, rho, errors = np.full(N, np.nan), np.empty(N), {}
     for start in range(0, N, size):
         chunk = _Gains(*(g[start : start + size] for g in gains))
-        out = _closed_loop_pass(plant, chunk, X)
-        J[start : start + size] = out.J
-        rho[start : start + size] = out.rho
-        errors.update((start + k, exc) for k, exc in out.errors.items())
+        loop, chunk_rho, chunk_errors = _screen(plant, chunk)
+        rho[start : start + size] = chunk_rho
+        live = [k for k in range(len(chunk_rho)) if k not in chunk_errors]
+        # views, not copies, when every slice passed
+        pick = slice(None) if len(live) == len(chunk_rho) else live
+        if live:
+            J_live, *_, live_errors = _certified_pair(loop.A_cl[pick], loop.W_cl[pick], X)
+            J[start : start + size][pick] = J_live
+            chunk_errors.update((live[k], exc) for k, exc in live_errors.items())
+        errors.update((start + k, exc) for k, exc in chunk_errors.items())
     return J, rho, errors
 
 
@@ -263,13 +236,16 @@ def evaluate(plant, controller, X):
     """
     X = as_second_moment(X, plant.n)
     gains = _Gains(controller.A_K[None], controller.B_K[None], controller.C_K[None])
-    out = _closed_loop_pass(plant, gains, X.X)
-    if out.errors:
+    loop, rho, errors = _screen(plant, gains)
+    if not errors:
+        J, P, Sigma, lam_P, lam_Sigma, (r_P, r_Sigma), errors = _certified_pair(
+            loop.A_cl, loop.W_cl, X.X
+        )
+    if errors:
         # popped, so that the frame its traceback holds does not keep the
         # exception alive in a reference cycle
-        raise out.errors.pop(0)
-    P, Sigma, J = out.P[0], out.Sigma[0], float(out.J[0])
-    r_P, r_Sigma = out.residuals
+        raise errors.pop(0)
+    P, Sigma, J = P[0], Sigma[0], float(J[0])
     # By the adjoint of the Lyapunov operator, Tr(P X) - J_exact is
     # Tr(r_P Sigma_exact) and Tr(W_cl Sigma) - J_exact is Tr(P_exact
     # r_Sigma) (Higham 2002, Accuracy and Stability of Numerical
@@ -289,30 +265,10 @@ def evaluate(plant, controller, X):
         X=X.X,
         J=J,
         n=plant.n,
-        rho=float(out.rho[0]),
-        lambda_min_P=float(out.lambda_min_P[0]),
-        lambda_min_Sigma=float(out.lambda_min_Sigma[0]),
+        rho=float(rho[0]),
+        lambda_min_P=float(lam_P[0]),
+        lambda_min_Sigma=float(lam_Sigma[0]),
         J_error=4.0 * float(first_order + 8.0 * np.finfo(float).eps * abs(J)),
+        r_P=r_P,
+        r_Sigma=r_Sigma,
     )
-
-
-def block_lyapunov_residuals(plant, controller, report):
-    """Frobenius residuals of the six block Lyapunov equations.
-
-    Partitioning P = W_cl + A_cl^T P A_cl and Sigma = X + A_cl Sigma A_cl^T
-    into n x n blocks gives three independent equations each (the 21 block
-    duplicates the 12 block by symmetry). Keys: rP11, rP12, rP22 for the
-    value recursion and rS11, rS12, rS22 for the correlation recursion.
-    """
-    loop = assemble(plant, controller)
-    n = report.n
-    P_res = report.P - loop.W_cl - loop.A_cl.T @ report.P @ loop.A_cl
-    S_res = report.Sigma - report.X - loop.A_cl @ report.Sigma @ loop.A_cl.T
-    return {
-        "rP11": float(np.linalg.norm(P_res[:n, :n])),
-        "rP12": float(np.linalg.norm(P_res[:n, n:])),
-        "rP22": float(np.linalg.norm(P_res[n:, n:])),
-        "rS11": float(np.linalg.norm(S_res[:n, :n])),
-        "rS12": float(np.linalg.norm(S_res[:n, n:])),
-        "rS22": float(np.linalg.norm(S_res[n:, n:])),
-    }

@@ -177,7 +177,8 @@ class DescentTrace:
 
 
 def _grad_vector(grad):
-    return controller_to_vector(grad.as_controller_direction())
+    """The gradient flattened as controller_to_vector flattens a controller."""
+    return np.concatenate([grad.dA_K.ravel(), grad.dB_K.ravel(), grad.dC_K.ravel()])
 
 
 def _orbit_jump(plant, cand, X, cand_report):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .cost import _chunk_size, _Gains, evaluate
 from .matops import _route_bytes, _solve_dlyap_certified, _symmetrize
-from .model import Controller, as_second_moment, assemble, controller_to_vector
+from .model import as_second_moment, assemble, controller_to_vector
 
 # Imaginary step h of the complex-step derivative. Im J(theta + i h e_c)
 # is h dJ/dtheta_c up to a term of order h^3, and no difference is taken,
@@ -41,10 +41,6 @@ class GradientTriple:
                 np.sum(self.dA_K**2) + np.sum(self.dB_K**2) + np.sum(self.dC_K**2)
             )
         )
-
-    def as_controller_direction(self):
-        """The triple itself viewed as a step direction in controller space."""
-        return Controller(A_K=self.dA_K, B_K=self.dB_K, C_K=self.dC_K)
 
 
 def analytic_gradient(plant, controller, X, report=None):

@@ -5,7 +5,7 @@ All routines work on plain numpy arrays and are pure functions of their
 inputs. Problems here are desk-scale, so the Lyapunov equation is solved
 by an exact dense solve (Kronecker vectorization) for small closed loops
 and by a squaring iteration for larger ones. Both routes are private:
-_solve_dlyap_certified, which the cost module's closed-loop pass calls,
+_solve_dlyap_certified, which the cost module's certified pair calls,
 picks one by size and certifies its solutions by their backward error
 
     ||P - W - A^T P A||_F <= SOLVER_RTOL * (||W||_F + (1 + ||A||_F^2) ||P||_F),
@@ -52,14 +52,18 @@ from .errors import (
 )
 
 # Closed-loop dimension at or below which the Lyapunov solve is a direct
-# Kronecker linear solve; above it the squaring iteration is used. Set from
-# the stacked pass of one central-difference gradient, per probe, with the
-# chunks each route gets (medians over 5 generated plants, one BLAS
-# thread, 2-core x86 machine; microseconds, Kronecker / doubling):
-#   m = 2: 37 / 53, m = 4: 40 / 41, m = 6: 172 / 48, m = 8: 416 / 69,
-#   m = 10: 767 / 96, m = 12: 1523 / 105, m = 16: 4898 / 176.
-# A single evaluate favours the Kronecker route up to m = 6 (369 / 410 us
-# there) and the doubling route from m = 8 (460 / 422 us).
+# Kronecker linear solve; above it the squaring iteration is used. Per call
+# on each route (medians over 11 alternating rounds on 5 plants of each
+# size, tests/oracles.draw_plant with observer-based controllers, rho 0.18
+# to 0.97; one BLAS thread, 2-core x86 machine; microseconds, Kronecker /
+# doubling):
+#   evaluate:              m = 2: 115 / 167, m = 4: 127 / 195,
+#                          m = 6: 152 / 198, m = 8: 222 / 220.
+#   complex-step gradient: m = 2: 242 / 375, m = 4: 324 / 497,
+#                          m = 6: 935 / 595, m = 8: 3751 / 839.
+# The gradient's crossover lies between m = 4 and 6, an evaluate's near
+# m = 8; at 4 every gradient takes its faster route, and an evaluate at
+# m = 6 pays 30% for it.
 KRON_DIM_LIMIT = 4
 
 # The one singular-value rule of every rank and invertibility decision: a

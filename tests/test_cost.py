@@ -1,16 +1,22 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import dlqr
-from dlqr import Controller, CostReport, NotStabilizing
+from dlqr import Controller, NotStabilizing
+from dlqr.cli import main
 
 from conftest import EX1
 from oracles import (
+    closed_loop_oracle,
     cost_oracle,
     lyap_dual_oracle,
+    random_pd_second_moment,
     random_plant_arrays,
     series_cost_oracle,
+    stage_weight_oracle,
 )
 
 # Value matrix of the rounded Example-1 controller against the shared X,
@@ -89,28 +95,46 @@ def test_evaluate_sigma_solves_primal_equation(ex1_plant, rounded_k1, cross_X):
     assert np.linalg.norm(resid) <= 1e-12 * (1.0 + np.linalg.norm(report.Sigma))
 
 
-def test_block_residuals_near_zero_for_true_report(ex1_plant, rounded_k1, cross_X):
+def test_block_residuals_near_zero_for_true_report(
+    ex1_problem_file, ex1_plant, rounded_k1, cross_X, capsys
+):
+    # eval prints the Frobenius norms of the six independent n x n blocks
+    # of the report's residual matrices
+    assert main(["eval", "--problem", ex1_problem_file, "--json"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
     report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
-    residuals = dlqr.block_lyapunov_residuals(ex1_plant, rounded_k1, report)
-    assert set(residuals) == {"rP11", "rP12", "rP22", "rS11", "rS12", "rS22"}
+    n, r_P, r_S = report.n, report.r_P, report.r_Sigma
+    expected = {
+        "rP11": float(np.linalg.norm(r_P[:n, :n])),
+        "rP12": float(np.linalg.norm(r_P[:n, n:])),
+        "rP22": float(np.linalg.norm(r_P[n:, n:])),
+        "rS11": float(np.linalg.norm(r_S[:n, :n])),
+        "rS12": float(np.linalg.norm(r_S[:n, n:])),
+        "rS22": float(np.linalg.norm(r_S[n:, n:])),
+    }
+    assert residuals == expected
     for value in residuals.values():
         assert value <= 1e-12
 
 
-def test_block_residuals_detect_corrupted_value_matrix(
-    ex1_plant, rounded_k1, cross_X
-):
-    report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
-    P_bad = report.P.copy()
-    P_bad[0, 1] += 1e-3
-    P_bad[1, 0] += 1e-3
-    doctored = CostReport(
-        P=P_bad, Sigma=report.Sigma, X=report.X, J=report.J, n=report.n
-    )
-    residuals = dlqr.block_lyapunov_residuals(ex1_plant, rounded_k1, doctored)
-    assert residuals["rP12"] >= 1e-4
-    # the correlation recursion does not involve P and must stay clean
-    assert residuals["rS12"] <= 1e-12
+@pytest.mark.parametrize("n", range(1, 8))
+def test_report_residuals_are_those_of_its_pair(n):
+    # r_P and r_Sigma, formed again from the oracle's closed loop and the
+    # report's own P and Sigma, bit for bit
+    rng = np.random.default_rng((0, n))
+    plant = dlqr.Plant(**random_plant_arrays(rng, n, min(n, 2), min(n, 2)))
+    _, K = dlqr.solve_dare_control(plant)
+    _, L = dlqr.solve_dare_filter(plant, np.eye(n))
+    controller = dlqr.observer_based(plant, K, L)
+    X = random_pd_second_moment(rng, n)
+    report = dlqr.evaluate(plant, controller, X)
+    c = controller
+    A_cl = closed_loop_oracle(plant.A, plant.B, plant.C, c.A_K, c.B_K, c.C_K)
+    W_cl = stage_weight_oracle(plant.Q, plant.R, c.C_K)
+    r_P = report.P - 0.5 * (W_cl + W_cl.T) - A_cl.T @ report.P @ A_cl
+    r_Sigma = report.Sigma - X - A_cl @ report.Sigma @ A_cl.T
+    assert report.r_P.tobytes() == r_P.tobytes()
+    assert report.r_Sigma.tobytes() == r_Sigma.tobytes()
 
 
 def test_cost_agrees_with_rollout(ex1_plant, rounded_k1, cross_X):

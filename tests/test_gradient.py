@@ -4,6 +4,7 @@ import pytest
 import dlqr
 from dlqr import Controller, NotStabilizing, SolverDiverged
 from dlqr import cost as cost_mod
+from dlqr import descent as descent_mod
 from dlqr import matops
 from dlqr.cli import GRADCHECK_DEFAULT_TOL
 
@@ -81,8 +82,10 @@ def test_gradient_triple_shapes_and_direction():
     assert grad.dA_K.shape == controller.A_K.shape
     assert grad.dB_K.shape == controller.B_K.shape
     assert grad.dC_K.shape == controller.C_K.shape
-    direction = grad.as_controller_direction()
-    assert direction.A_K is grad.dA_K
+    # descent flattens the gradient in the order of the controller's vector
+    direction = Controller(A_K=grad.dA_K, B_K=grad.dB_K, C_K=grad.dC_K)
+    flat = dlqr.controller_to_vector(direction)
+    assert descent_mod._grad_vector(grad).tobytes() == flat.tobytes()
     manual = np.sqrt(
         np.sum(grad.dA_K**2) + np.sum(grad.dB_K**2) + np.sum(grad.dC_K**2)
     )

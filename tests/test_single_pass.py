@@ -91,6 +91,16 @@ def test_one_eigvals_and_one_assemble_per_evaluate(
     assert len(assembles) == 1
 
 
+def test_eval_command_assembles_and_screens_once(ex1_problem_file, monkeypatch, capsys):
+    # eval prints its residual blocks from the report: no second loop
+    eigvals = _count_calls(monkeypatch, np.linalg, "eigvals")
+    assembles = _count_calls(monkeypatch, cost_mod, "assemble")
+    assert main(["eval", "--problem", ex1_problem_file]) == 0
+    assert "rP12" in capsys.readouterr().out
+    assert len(eigvals) == 1
+    assert len(assembles) == 1
+
+
 @pytest.mark.parametrize(
     "c_k, stable", [(-0.944, True), (-0.2, True), (0.0, False), (0.5, False)]
 )

@@ -1,7 +1,7 @@
-"""The stacked closed-loop pass: each slice of a stack of controllers gives
-bit for bit what evaluate gives for that controller alone, unstable slices
-report rho and get no Lyapunov solve, and the chunking of many-slice passes
-does not change any result."""
+"""The stacked screen and certified pair: each slice of a stack of
+controllers gives bit for bit what evaluate gives for that controller
+alone, unstable slices report rho and get no Lyapunov solve, and the
+chunking of many-slice passes does not change any result."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ import dlqr
 from dlqr import NotStabilizing
 from dlqr import cost as cost_mod
 from dlqr import matops
-from dlqr.cost import _closed_loop_pass, _Gains, _stacked_costs
+from dlqr.cost import _certified_pair, _Gains, _screen, _stacked_costs
 from dlqr.matops import KRON_DIM_LIMIT
 
 from oracles import random_pd_second_moment, random_plant_arrays
@@ -67,26 +67,35 @@ def test_slices_are_bit_identical_to_evaluate(n, monkeypatch):
         return original(A, W)
 
     monkeypatch.setattr(cost_mod, "_solve_dlyap_certified", recording)
-    out = _closed_loop_pass(plant, gains, X)
+    J, rho, errors = _stacked_costs(plant, gains, X)
     monkeypatch.undo()
+    loop, screen_rho, screen_errors = _screen(plant, gains)
+    live = [k for k in range(len(controllers)) if k not in screen_errors]
+    _, P, Sigma, lam_P, lam_Sigma, _, pair_errors = _certified_pair(
+        loop.A_cl[live], loop.W_cl[live], X
+    )
+    assert not pair_errors
+    assert screen_rho.tobytes() == rho.tobytes()
 
-    stable = 0
     for k, ctrl in enumerate(controllers):
         try:
             report = dlqr.evaluate(plant, ctrl, X)
         except NotStabilizing as exc:
-            assert isinstance(out.errors[k], NotStabilizing)
-            assert str(out.errors[k]) == str(exc)
-            assert out.errors[k].rho == exc.rho == float(out.rho[k])
+            for errs in (errors, screen_errors):
+                assert isinstance(errs[k], NotStabilizing)
+                assert str(errs[k]) == str(exc)
+                assert errs[k].rho == exc.rho == float(rho[k])
+            assert np.isnan(J[k])
             continue
-        assert k not in out.errors
-        assert out.P[stable].tobytes() == report.P.tobytes()
-        assert out.Sigma[stable].tobytes() == report.Sigma.tobytes()
-        assert float(out.J[k]) == report.J
-        assert float(out.rho[k]) == report.rho
-        assert float(out.lambda_min_P[stable]) == report.lambda_min_P
-        assert float(out.lambda_min_Sigma[stable]) == report.lambda_min_Sigma
-        stable += 1
+        assert k not in errors
+        i = live.index(k)
+        assert P[i].tobytes() == report.P.tobytes()
+        assert Sigma[i].tobytes() == report.Sigma.tobytes()
+        assert float(J[k]) == report.J
+        assert float(rho[k]) == report.rho
+        assert float(lam_P[i]) == report.lambda_min_P
+        assert float(lam_Sigma[i]) == report.lambda_min_Sigma
+    stable = len(live)
     unstable = len(controllers) - stable
     assert stable and unstable
     # one stacked solve for P and Sigma together, over the stable slices only
@@ -99,10 +108,10 @@ def test_all_unstable_stack_makes_no_lyapunov_solve(monkeypatch):
     unstable = _Gains(*(g[1::3] for g in gains))
     calls = []
     monkeypatch.setattr(cost_mod, "_solve_dlyap_certified", lambda *a: calls.append(a))
-    out = _closed_loop_pass(plant, unstable, X)
+    J, rho, errors = _stacked_costs(plant, unstable, X)
     assert calls == []
-    assert sorted(out.errors) == list(range(len(unstable.A_K)))
-    assert np.all(np.isnan(out.J)) and np.all(out.rho >= 1.0)
+    assert sorted(errors) == list(range(len(unstable.A_K)))
+    assert np.all(np.isnan(J)) and np.all(rho >= 1.0)
 
 
 @pytest.mark.parametrize("n", [1, 4, 7])
@@ -115,8 +124,9 @@ def test_results_do_not_depend_on_the_chunk_size(n, monkeypatch):
     monkeypatch.setattr(cost_mod, "_STACK_BYTES", 1)
     J1, rho1, errors1 = _stacked_costs(plant, gains, X)
     grad1 = dlqr.finite_difference_gradient(plant, controller, X)
-    ok = [k for k in range(len(J)) if k not in errors]
-    assert J[ok].tobytes() == J1[ok].tobytes()
+    # a failed slice's J is NaN whatever the chunk
+    assert errors and np.all(np.isnan(J[list(errors)]))
+    assert J.tobytes() == J1.tobytes()
     assert rho.tobytes() == rho1.tobytes()
     assert {k: (type(e), str(e)) for k, e in errors.items()} == {
         k: (type(e), str(e)) for k, e in errors1.items()
@@ -160,10 +170,10 @@ def test_certificate_failures_keep_evaluate_order(monkeypatch):
     plant, controller, X, rng = _instance(2)
     _, gains = _mixed_stack(plant, controller, rng)
     monkeypatch.setattr(cost_mod, "_min_eig", lambda M: np.full(len(M), -1.0))
-    out = _closed_loop_pass(plant, gains, X)
-    stable = [k for k in range(len(gains.A_K)) if not isinstance(out.errors[k], NotStabilizing)]
+    _, _, errors = _stacked_costs(plant, gains, X)
+    stable = [k for k in range(len(gains.A_K)) if not isinstance(errors[k], NotStabilizing)]
     assert stable
-    assert {str(out.errors[k]) for k in stable} == {"P is not positive semidefinite"}
+    assert {str(errors[k]) for k in stable} == {"P is not positive semidefinite"}
     with pytest.raises(dlqr.SolverDiverged, match="^P is not positive semidefinite$"):
         dlqr.evaluate(plant, controller, X)
 
@@ -179,15 +189,19 @@ def test_an_overflowing_slice_fails_alone():
         dlqr.Controller(A_K=0.2, B_K=0.3, C_K=-0.4),
     ]
     gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
+    # every slice passes the screen, and the certified pair fails slice 1
+    loop, rho, screen_errors = _screen(plant, gains)
+    assert screen_errors == {} and float(rho[1]) < 1.0
     with np.errstate(all="ignore"):
-        out = _closed_loop_pass(plant, gains, X)
-    assert float(out.rho[1]) < 1.0
-    assert list(out.errors) == [1]
-    assert isinstance(out.errors[1], dlqr.SolverDiverged)
+        _, P, _, _, _, _, pair_errors = _certified_pair(loop.A_cl, loop.W_cl, X)
+        J, _, errors = _stacked_costs(plant, gains, X)
+    for errs in (pair_errors, errors):
+        assert list(errs) == [1]
+        assert isinstance(errs[1], dlqr.SolverDiverged)
     for k in (0, 2):
         report = dlqr.evaluate(plant, controllers[k], X)
-        assert out.P[k].tobytes() == report.P.tobytes()
-        assert float(out.J[k]) == report.J
+        assert P[k].tobytes() == report.P.tobytes()
+        assert float(J[k]) == report.J
 
 
 @pytest.mark.parametrize(
@@ -209,17 +223,25 @@ def test_an_overflowing_closed_loop_fails_alone(B, bad, matrix):
         k_bad, k_good = controllers.index(bad), controllers.index(good)
         gains = _Gains(*(np.stack([getattr(c, k) for c in controllers]) for k in _Gains._fields))
         with np.errstate(all="ignore"):
-            out = _closed_loop_pass(plant, gains, X)
-        assert list(out.errors) == [k_bad]
-        exc = out.errors[k_bad]
-        assert isinstance(exc, dlqr.SolverDiverged)
-        assert str(exc) == f"closed loop overflows: {matrix} has non-finite entries"
-        assert np.isnan(out.rho[k_bad]) == (matrix == "A_cl")
+            loop, screen_rho, screen_errors = _screen(plant, gains)
+            J, rho, errors = _stacked_costs(plant, gains, X)
+        assert screen_rho.tobytes() == rho.tobytes()
+        for errs in (screen_errors, errors):
+            assert list(errs) == [k_bad]
+            assert isinstance(errs[k_bad], dlqr.SolverDiverged)
+            assert str(errs[k_bad]) == f"closed loop overflows: {matrix} has non-finite entries"
+        exc = errors[k_bad]
+        assert np.isnan(rho[k_bad]) == (matrix == "A_cl")
+        assert np.isnan(J[k_bad])
         report = dlqr.evaluate(plant, good, X)
-        assert out.P[0].tobytes() == report.P.tobytes()
-        assert out.Sigma[0].tobytes() == report.Sigma.tobytes()
-        assert float(out.J[k_good]) == report.J
-        assert float(out.rho[k_good]) == report.rho
+        _, P, Sigma, _, _, _, pair_errors = _certified_pair(
+            loop.A_cl[[k_good]], loop.W_cl[[k_good]], X
+        )
+        assert not pair_errors
+        assert P[0].tobytes() == report.P.tobytes()
+        assert Sigma[0].tobytes() == report.Sigma.tobytes()
+        assert float(J[k_good]) == report.J
+        assert float(rho[k_good]) == report.rho
         with np.errstate(all="ignore"), pytest.raises(dlqr.SolverDiverged) as raised:
             dlqr.evaluate(plant, bad, X)
         assert str(raised.value) == str(exc)
