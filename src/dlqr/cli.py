@@ -384,7 +384,12 @@ def cmd_descend(args):
     final = trace.final_controller
     try:
         cert, raw, canonical = _candidate_distance(plant, problem.X, final)
-        distance = {"raw": raw, "canonical": canonical, "J_candidate": cert.J}
+        distance = {
+            "raw": raw,
+            "canonical": canonical,
+            "J_candidate": cert.J,
+            "J_minus_J_candidate": trace.final_J - cert.J,
+        }
     except (SingularX12, AssumptionViolated, SolverDiverged) as exc:
         distance = None
         reason = str(exc)
@@ -399,6 +404,7 @@ def cmd_descend(args):
                     "backtracks": trace.backtracks,
                     "rejected_unstable": trace.rejected_unstable,
                     "J": trace.final_J,
+                    "J_error": trace.final_J_error,
                     "grad_norm": trace.final_grad_norm,
                     "controller": _controller_wire(final),
                     "distance_to_candidate": distance,

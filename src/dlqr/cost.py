@@ -37,15 +37,16 @@ from .model import as_second_moment, assemble
 
 # Chunks of a many-slice pass hold at most _STACK_BYTES of the largest
 # per-slice array of their Lyapunov route (matops._route_bytes), counted
-# once for each of a slice's solves, and at most _STACK_SLICES slices.
-# Measured on central-difference gradients of the 73 generated-certify
-# plants (seed 1, one BLAS thread, 2-core x86 machine), whose probes took
-# two real solves each, as many bytes as the one complex solve of a
-# complex-step probe: chunks of 32 KiB took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved
-# runs) and raised traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46)
-# and +1.05 MB, 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s
-# (0.40-0.51) and +2.74 MB. On small loops the other per-slice arrays
-# outweigh the largest one: 101-slice chunks of 2-state loops
+# once for each of a slice's solves, and at most _STACK_SLICES slices. The
+# budget was measured on an earlier gradient check by central differences,
+# whose probes took two real solves each, on the 73 generated-certify
+# plants (seed 1, one BLAS thread, 2-core x86 machine): chunks of 32 KiB
+# took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved runs) and raised
+# traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46) and +1.05 MB,
+# 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s (0.40-0.51) and
+# +2.74 MB. The complex-step gradient's chunks of tangent solves keep the
+# slices per chunk of a two-solve pass. On small loops the other per-slice
+# arrays outweigh the largest one: 101-slice chunks of 2-state loops
 # (scalar-landscape rows, 30 s runs) left peak memory 3.2% above
 # one-by-one evaluation, 32-slice chunks 1.7%.
 _STACK_BYTES = 64 * 1024

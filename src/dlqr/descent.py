@@ -114,8 +114,9 @@ INIT_NOISE_SCALE = 0.5
 @dataclass(frozen=True, eq=False)
 class DescentStep:
     """One accepted iterate: controller, its cost, its gradient norm, the
-    step size that produced it (0.0 for the initial point), and whether the
-    line-search candidate was then moved to its optimal transform.
+    step size that produced it (0.0 for the initial point), the J_error of
+    the report it was accepted on, and whether the line-search candidate was
+    then moved to its optimal transform.
 
     The counters explain the work behind the step: evaluations is the
     number of evaluate calls it took (line-search trials, the orbit jump;
@@ -127,6 +128,7 @@ class DescentStep:
     J: float
     grad_norm: float
     step: float
+    J_error: float
     canonicalized: bool = False
     backtracks: int = 0
     rejected_unstable: int = 0
@@ -152,6 +154,10 @@ class DescentTrace:
     @property
     def final_grad_norm(self):
         return self.steps[-1].grad_norm
+
+    @property
+    def final_J_error(self):
+        return self.steps[-1].J_error
 
     @property
     def iterations(self):
@@ -237,7 +243,14 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     controller, J = init, report.J
     theta, g_vec = controller_to_vector(init), _grad_vector(grad)
     steps = [
-        DescentStep(controller=init, J=J, grad_norm=grad.norm, step=0.0, evaluations=1)
+        DescentStep(
+            controller=init,
+            J=J,
+            grad_norm=grad.norm,
+            step=0.0,
+            J_error=report.J_error,
+            evaluations=1,
+        )
     ]
     prev_theta = prev_g = None
     # trial step without a usable BB quotient: STEP0 at the start, the last
@@ -299,6 +312,7 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
                 J=J,
                 grad_norm=grad.norm,
                 step=t,
+                J_error=cand_report.J_error,
                 canonicalized=jump is not None,
                 backtracks=backtracks,
                 rejected_unstable=rejected_unstable,

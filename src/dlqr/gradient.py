@@ -6,9 +6,23 @@ An independent numerical gradient is provided for cross-checking: the
 complex-step derivative dJ/dtheta_c = Im J(theta + i h e_c) / h (Squire &
 Trapp 1998, SIAM Rev. 40; Martins, Sturdza & Alonso 2003, ACM TOMS 29).
 It subtracts nothing, so it is exact to rounding whatever the stiffness of
-the loop. The real part of every probe is the base loop, which evaluate
-has certified, so no probe needs its own stability or PSD check, nor a
-smaller step near the stability boundary."""
+the loop.
+
+The real part of every probe is the base loop, which evaluate has
+certified, so no probe needs its own stability or PSD check, nor a smaller
+step near the stability boundary. Nor does a probe repeat the base loop's
+solve: the Lyapunov equation is linear in P, so at the probe's loop
+A_0 + i h E_c and weight W_0 + i h F_c its solution is P_0 + i h D_c, up to
+a relative term of order h^2 that rounding drops, where the tangent D_c
+solves
+
+    D_c = G_c + A_0^T D_c A_0,    G_c = Im(W_c + A_c^T P_0 A_c) / h,
+
+with A_c, W_c the probe's complex loop. G_c is formed in complex
+arithmetic from the probe's loop, so no derivative is written by hand, and
+Tr(D_c X) is the complex step. The q tangent equations share the one real
+operator A_0, and each solution is certified on its own backward error,
+which judges the derivative itself."""
 
 from dataclasses import dataclass
 
@@ -87,22 +101,26 @@ def finite_difference_gradient(plant, controller, X):
     analytic_gradient.
 
     One evaluate at the base point fails fast, with its stability screen,
-    its certificates and its PSD floors. Each coordinate c then takes one
-    complex probe theta + i h e_c, with h = COMPLEX_STEP, and J = Tr(P X)
-    needs only its P. The probes go in chunks to the certified Lyapunov
-    kernel, one solve each, and each solution must pass the backward-error
-    certificate on |.| norms; the first coordinate whose probe fails raises
-    its SolverDiverged. No probe takes an eigen-decomposition: its real
-    part is the base loop, whose verdicts hold for it.
+    its certificates and its PSD floors, and gives P_0. Each coordinate c
+    then takes one complex probe theta + i h e_c, with h = COMPLEX_STEP,
+    whose assembled loop gives the tangent weight
+    G_c = Im(W_c + A_c^T P_0 A_c) / h. The probes go in chunks to the
+    certified Lyapunov kernel, which solves D_c = G_c + A_0^T D_c A_0 on
+    the one real base loop A_0, and dJ/dtheta_c = Tr(D_c X). Each D_c must
+    pass the backward-error certificate; the first coordinate whose
+    tangent fails raises its SolverDiverged. No probe takes an
+    eigen-decomposition: its real part is the base loop, whose verdicts
+    hold for it.
 
     Raises
     ------
     NotStabilizing, SolverDiverged
         As evaluate raises them at the base point, or SolverDiverged of the
-        first probe that fails its certificate.
+        first coordinate whose tangent solve fails its certificate.
     """
     X = as_second_moment(X, plant.n)
-    evaluate(plant, controller, X)  # fail fast at the base point
+    P0 = evaluate(plant, controller, X).P  # fails fast at the base point
+    A0 = assemble(plant, controller).A_cl
     X = X.X
     theta = controller_to_vector(controller)
     splits = np.cumsum([controller.A_K.size, controller.B_K.size])
@@ -114,18 +132,20 @@ def finite_difference_gradient(plant, controller, X):
         block.reshape((q,) + shape)
         for block, shape in zip(np.split(probes, splits, axis=1), shapes)
     ]
-    # one solve a probe, of 16-byte entries: the slices per chunk of two
-    # 8-byte solves in the cost module's passes
-    size = _chunk_size(_route_bytes(2 * plant.n, itemsize=16))
-    J = np.empty(q, complex)
+    # the slices per chunk of the cost module's passes, which hold two
+    # solves a slice
+    size = _chunk_size(2 * _route_bytes(2 * plant.n))
+    dJ = np.empty(q)
     for start in range(0, q, size):
         loop = assemble(plant, _Gains(*(g[start : start + size] for g in gains)))
-        P, _, _, errors = _solve_dlyap_certified(loop.A_cl, _symmetrize(loop.W_cl))
+        A_c = loop.A_cl
+        G = _symmetrize((loop.W_cl + A_c.swapaxes(-1, -2) @ P0 @ A_c).imag)
+        G /= COMPLEX_STEP
+        D, _, _, errors = _solve_dlyap_certified(A0, G)
         if errors:
             raise errors[min(errors)]
-        J[start : start + size] = (P @ X).trace(axis1=1, axis2=2)
+        dJ[start : start + size] = (D @ X).trace(axis1=1, axis2=2)
     dA_K, dB_K, dC_K = (
-        block.reshape(shape)
-        for block, shape in zip(np.split(J.imag / COMPLEX_STEP, splits), shapes)
+        block.reshape(shape) for block, shape in zip(np.split(dJ, splits), shapes)
     )
     return GradientTriple(dA_K=dA_K, dB_K=dB_K, dC_K=dC_K)

@@ -474,7 +474,7 @@ def test_descend_cli_trace_and_report(ex2_problem_file, tmp_path, capsys):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_descend_cli_json(ex1_problem_file, capsys):
+def test_descend_cli_json(ex1_problem_file, ex1_plant, cross_X, capsys):
     # without --out the trace CSV shares stdout; the report is the last line
     assert main(["descend", "--problem", ex1_problem_file, "--json"]) == 0
     out = capsys.readouterr().out
@@ -486,7 +486,15 @@ def test_descend_cli_json(ex1_problem_file, capsys):
     assert payload["J"] == pytest.approx(11.914324683979915, abs=1e-6)
     assert 0 < payload["canonicalizations"] <= payload["iterations"]
     controller = dlqr.controller_from_wire(payload["controller"], "controller")
-    assert dlqr.is_stabilizing(dlqr.Plant(A=1.1, B=1.0, C=1.0, Q=5.0, R=1.0), controller)
+    assert dlqr.is_stabilizing(ex1_plant, controller)
+    # J_error is the final accepted report's, and the gap to the closed-form
+    # stationary cost is J - J_candidate
+    report = dlqr.evaluate(ex1_plant, controller, cross_X)
+    assert (payload["J"], payload["J_error"]) == (report.J, report.J_error)
+    assert 0.0 < payload["J_error"] <= 1e-12 * payload["J"]
+    distance = payload["distance_to_candidate"]
+    assert distance["J_minus_J_candidate"] == payload["J"] - distance["J_candidate"]
+    assert abs(distance["J_minus_J_candidate"]) <= 1e-12 * payload["J"]
 
 
 def test_descend_cli_without_candidate(tmp_path, capsys, rounded_k1):

@@ -206,19 +206,20 @@ def test_complex_step_passes_gradcheck_on_a_stiff_loop():
 
 
 def _fail_probes(monkeypatch, failures):
-    """Make the route's solution of each complex slice come back as
-    failures[(i, j)] times itself, where (i, j) is the entry of A_cl that
-    carries the slice's imaginary step; real solves, the base evaluate's,
-    are left alone."""
+    """Make the route's tangent solution of each coordinate c come back as
+    failures[c] times itself. Tangent solves are those on one shared
+    operator; they run in coordinate order, so a running count of their
+    slices names each slice's coordinate. The base evaluate's solves are
+    left alone."""
     kron, doubling = matops._kron_route, matops._doubling_route
+    solved = [0]
 
     def scaled(A, P):
-        if np.iscomplexobj(A):
+        if A.ndim == 2:
             P = P.copy()
-            for k, a in enumerate(A):
-                for entry, factor in failures.items():
-                    if a[entry].imag != 0.0:
-                        P[k] *= factor
+            for k in range(len(P)):
+                P[k] *= failures.get(solved[0] + k, 1.0)
+            solved[0] += len(P)
         return P
 
     monkeypatch.setattr(matops, "_kron_route", lambda A, W: scaled(A, kron(A, W)))
@@ -230,14 +231,12 @@ def _fail_probes(monkeypatch, failures):
 def test_solver_failures_raise_in_coordinate_order(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
-    # Example 1's loop is [[A, B C_K], [B_K C, A_K]]: the probe of B_K
-    # (coordinate 1) moves entry (1, 0), that of C_K (coordinate 2) entry
-    # (0, 1). Both fail their certificates, each in its own way, in one
-    # chunk or, below one slice's budget, in chunks of one probe: B_K's
-    # failure is raised
+    # the tangents of B_K (coordinate 1) and C_K (coordinate 2) both fail
+    # their certificates, each in its own way, in one chunk or, below one
+    # slice's budget, in chunks of one probe: B_K's failure is raised
     cases = [
-        ({(1, 0): np.nan, (0, 1): 2.0}, "Lyapunov solution is not finite"),
-        ({(1, 0): 2.0, (0, 1): np.nan}, "Lyapunov residual"),
+        ({1: np.nan, 2: 2.0}, "Lyapunov solution is not finite"),
+        ({1: 2.0, 2: np.nan}, "Lyapunov residual"),
     ]
     for stack_bytes in (cost_mod._STACK_BYTES, 1):
         for failures, message in cases:
@@ -246,6 +245,18 @@ def test_solver_failures_raise_in_coordinate_order(
                 _fail_probes(patch, failures)
                 with pytest.raises(SolverDiverged, match=message):
                     dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X)
+
+
+def test_the_probe_certificate_judges_the_derivative(ex1_plant, cross_X, monkeypatch):
+    # the derivative part of every probe's solution, tripled: a certificate
+    # on the real part alone, which the base evaluate has already passed,
+    # would return dC_K = -0.0696 against the analytic -0.0232
+    controller = Controller(A_K=-0.944, B_K=4.4, C_K=-0.236)
+    grad = dlqr.analytic_gradient(ex1_plant, controller, cross_X)
+    assert grad.dC_K[0, 0] == pytest.approx(-0.0232, abs=1e-4)
+    _fail_probes(monkeypatch, {c: 3.0 for c in range(3)})
+    with pytest.raises(SolverDiverged, match="Lyapunov residual"):
+        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X)
 
 
 def test_complex_probes_need_no_eigen_decomposition(monkeypatch):
