@@ -44,19 +44,20 @@ from .model import as_second_moment, assemble
 # took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved runs) and raised
 # traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46) and +1.05 MB,
 # 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s (0.40-0.51) and
-# +2.74 MB. The complex-step gradient's chunks of tangent solves keep the
-# slices per chunk of a two-solve pass. On small loops the other per-slice
-# arrays outweigh the largest one: 101-slice chunks of 2-state loops
-# (scalar-landscape rows, 30 s runs) left peak memory 3.2% above
-# one-by-one evaluation, 32-slice chunks 1.7%.
+# +2.74 MB. The complex-step gradient's chunks of probes, which solve
+# nothing, keep the slices per chunk of a two-solve pass. On small loops
+# the other per-slice arrays outweigh the largest one: 101-slice chunks of
+# 2-state loops (scalar-landscape rows, 30 s runs) left peak memory 3.2%
+# above one-by-one evaluation, 32-slice chunks 1.7%.
 _STACK_BYTES = 64 * 1024
 _STACK_SLICES = 32
 
 
-def _chunk_size(slice_bytes):
-    """Slices per chunk of a many-slice pass whose slices each hold
-    slice_bytes of their routes' largest arrays: at least one."""
-    return max(1, min(_STACK_SLICES, _STACK_BYTES // slice_bytes))
+def _chunk_size(n):
+    """Slices per chunk of a many-slice pass on a plant of order n: as many
+    as fit _STACK_BYTES with one Lyapunov pair of 2n-state loops a slice,
+    at least one and at most _STACK_SLICES."""
+    return max(1, min(_STACK_SLICES, _STACK_BYTES // (2 * _route_bytes(2 * n))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +193,7 @@ def _stacked_costs(plant, gains, X):
     get their certified pairs in one stacked call. Each slice's J is
     bit-identical to evaluating it alone."""
     N = len(gains.A_K)
-    size = _chunk_size(2 * _route_bytes(2 * plant.n))
+    size = _chunk_size(plant.n)
     J, rho, errors = np.full(N, np.nan), np.empty(N), {}
     for start in range(0, N, size):
         chunk = _Gains(*(g[start : start + size] for g in gains))

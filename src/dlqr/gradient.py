@@ -9,27 +9,29 @@ It subtracts nothing, so it is exact to rounding whatever the stiffness of
 the loop.
 
 The real part of every probe is the base loop, which evaluate has
-certified, so no probe needs its own stability or PSD check, nor a smaller
-step near the stability boundary. Nor does a probe repeat the base loop's
-solve: the Lyapunov equation is linear in P, so at the probe's loop
-A_0 + i h E_c and weight W_0 + i h F_c its solution is P_0 + i h D_c, up to
-a relative term of order h^2 that rounding drops, where the tangent D_c
-solves
+certified, so no probe needs its own stability or PSD check, a smaller
+step near the stability boundary, or a Lyapunov solve. The Lyapunov
+equation is linear in P, so at the probe's loop A_0 + i h E_c and weight
+W_0 + i h F_c its solution is P_0 + i h D_c, up to a relative term of
+order h^2 that rounding drops, where the tangent D_c solves
 
     D_c = G_c + A_0^T D_c A_0,    G_c = Im(W_c + A_c^T P_0 A_c) / h,
 
-with A_c, W_c the probe's complex loop. G_c is formed in complex
-arithmetic from the probe's loop, so no derivative is written by hand, and
-Tr(D_c X) is the complex step. The q tangent equations share the one real
-operator A_0, and each solution is certified on its own backward error,
-which judges the derivative itself."""
+with A_c, W_c the probe's complex loop, and the complex step is
+Tr(D_c X) = Tr(G_c Sigma~) by the adjoint of the Lyapunov operator, where
+Sigma~ = X + A_0 Sigma~ A_0^T is solved once for every coordinate. G_c is
+formed in complex arithmetic, so no derivative is written by hand.
+Sigma~ is the check's own certified solve, not the report's Sigma, which
+analytic_gradient reads: a fault in that Sigma would pass both gradients
+alike. A slice of the certified kernel solves as it would alone, so on a
+sound report Sigma~ is that Sigma bit for bit."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import _chunk_size, _Gains, evaluate
-from .matops import _route_bytes, _solve_dlyap_certified, _symmetrize
+from .matops import _solve_dlyap_certified
 from .model import as_second_moment, assemble, controller_to_vector
 
 # Imaginary step h of the complex-step derivative. Im J(theta + i h e_c)
@@ -101,27 +103,24 @@ def finite_difference_gradient(plant, controller, X):
     analytic_gradient.
 
     One evaluate at the base point fails fast, with its stability screen,
-    its certificates and its PSD floors, and gives P_0. Each coordinate c
+    its certificates and its PSD floors, and gives P_0; one certified
+    Lyapunov solve on the base loop A_0 gives Sigma~. Each coordinate c
     then takes one complex probe theta + i h e_c, with h = COMPLEX_STEP,
-    whose assembled loop gives the tangent weight
-    G_c = Im(W_c + A_c^T P_0 A_c) / h. The probes go in chunks to the
-    certified Lyapunov kernel, which solves D_c = G_c + A_0^T D_c A_0 on
-    the one real base loop A_0, and dJ/dtheta_c = Tr(D_c X). Each D_c must
-    pass the backward-error certificate; the first coordinate whose
-    tangent fails raises its SolverDiverged. No probe takes an
-    eigen-decomposition: its real part is the base loop, whose verdicts
-    hold for it.
+    whose assembled loop gives G_c, and dJ/dtheta_c = Tr(G_c Sigma~). No
+    probe takes an eigen-decomposition or a Lyapunov solve.
 
     Raises
     ------
     NotStabilizing, SolverDiverged
-        As evaluate raises them at the base point, or SolverDiverged of the
-        first coordinate whose tangent solve fails its certificate.
+        As evaluate raises them at the base point, or SolverDiverged if
+        Sigma~ fails its certificate.
     """
     X = as_second_moment(X, plant.n)
     P0 = evaluate(plant, controller, X).P  # fails fast at the base point
     A0 = assemble(plant, controller).A_cl
-    X = X.X
+    (Sigma,), _, _, errors = _solve_dlyap_certified(A0.T[None], X.X[None])
+    if errors:
+        raise errors.pop(0)
     theta = controller_to_vector(controller)
     splits = np.cumsum([controller.A_K.size, controller.B_K.size])
     shapes = (controller.A_K.shape, controller.B_K.shape, controller.C_K.shape)
@@ -132,19 +131,16 @@ def finite_difference_gradient(plant, controller, X):
         block.reshape((q,) + shape)
         for block, shape in zip(np.split(probes, splits, axis=1), shapes)
     ]
-    # the slices per chunk of the cost module's passes, which hold two
-    # solves a slice
-    size = _chunk_size(2 * _route_bytes(2 * plant.n))
+    size = _chunk_size(plant.n)
+    # Tr(G_c Sigma~) of symmetric Sigma~ is the dot product of their
+    # row-major entries, one matmul per slice as matops._fro takes it
+    sigma = Sigma.reshape(-1, 1)
     dJ = np.empty(q)
     for start in range(0, q, size):
         loop = assemble(plant, _Gains(*(g[start : start + size] for g in gains)))
         A_c = loop.A_cl
-        G = _symmetrize((loop.W_cl + A_c.swapaxes(-1, -2) @ P0 @ A_c).imag)
-        G /= COMPLEX_STEP
-        D, _, _, errors = _solve_dlyap_certified(A0, G)
-        if errors:
-            raise errors[min(errors)]
-        dJ[start : start + size] = (D @ X).trace(axis1=1, axis2=2)
+        G = (loop.W_cl + A_c.swapaxes(-1, -2) @ P0 @ A_c).imag / COMPLEX_STEP
+        dJ[start : start + size] = np.matmul(G.reshape(len(G), 1, -1), sigma).ravel()
     dA_K, dB_K, dC_K = (
         block.reshape(shape) for block, shape in zip(np.split(dJ, splits), shapes)
     )

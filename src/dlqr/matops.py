@@ -15,13 +15,10 @@ the residual that rounding alone leaves in a solution of the size of P
 residual measures rounding, not a preference, SOLVER_RTOL is a module
 constant and no solver takes a tolerance argument.
 
-Each Lyapunov route works on a stack of N weights W of one size, with
-either a stack of N operators A or one operator shared by every slice,
-as the complex-step gradient's tangent equations share their base loop.
-Every stacked step is the same per-slice numpy or LAPACK operation as its
-2-d form, so a slice's result is bit-identical to solving it alone. A
-shared operator is squared, or turned into its Kronecker system, once for
-the whole stack. Per-slice decisions (stop rules, certificates) compare
+Each Lyapunov route works on a stack of N operators A and N weights W of
+one size. Every stacked step is the same per-slice numpy or LAPACK
+operation as its 2-d form, so a slice's result is bit-identical to solving
+it alone. Per-slice decisions (stop rules, certificates) compare
 Python floats, which on the few slices of a stack is cheaper than numpy's
 per-call cost. Each certificate passes only on `value <= bound`, which a
 NaN fails.
@@ -53,20 +50,19 @@ from .errors import (
 )
 
 # Closed-loop dimension at or below which the Lyapunov solve is a direct
-# Kronecker linear solve; above it the squaring iteration is used. Per call
-# on each route (medians over 11 alternating rounds on 5 plants of each
-# size, tests/oracles.draw_plant with observer-based controllers, rho 0.18
-# to 0.97; the middle of three such runs; one BLAS thread, 2-core x86
-# machine; microseconds, Kronecker / doubling):
-#   evaluate:              m = 2: 140 / 196, m = 4: 178 / 311,
-#                          m = 6: 195 / 241, m = 8: 269 / 253.
-#   complex-step gradient: m = 2: 326 / 432, m = 4: 356 / 684,
-#                          m = 6: 994 / 666, m = 8: 3023 / 654.
-# The gradient's tangent solves share one operator, which the doubling
-# route squares once for all of them and the Kronecker route factors once
-# for each. The gradient's crossover lies between m = 4 and 6, an
-# evaluate's near m = 8; at 4 every gradient takes its faster route, and
-# an evaluate at m = 6 pays about 24% for it.
+# Kronecker linear solve; above it the squaring iteration is used. Every
+# slice of every solve has its own operator, as the two of evaluate's pair
+# do (a Riccati step and the gradient check's Sigma are one such slice),
+# so the switch is judged on evaluate. Per evaluate on each route (medians over 11 alternating rounds on 5 plants of
+# each size, tests/oracles.draw_plant with observer-based controllers, rho
+# 0.18 to 0.97; the middle of three such runs; one BLAS thread, 2-core x86
+# machine; microseconds, Kronecker / doubling): m = 2: 140 / 196,
+# m = 4: 178 / 311, m = 6: 195 / 241, m = 8: 269 / 253. The crossover lies
+# near m = 8, so an evaluate at m = 6 pays about 24% for the limit of 4.
+# Raising it would widen the route that loses digits: at K_star of the
+# 40 census plants with n = 2 (m = 4), J by the Kronecker route is off by
+# up to 1.2e-7 relative to an extended-precision oracle, by doubling by at
+# most 4.9e-11.
 KRON_DIM_LIMIT = 4
 
 # The one singular-value rule of every rank and invertibility decision: a
@@ -200,20 +196,19 @@ def _route_bytes(m):
 
 
 def _kron_route(A, W):
-    """Kronecker solves of P = W + A^T P A for a stack W of (N, n, n) and a
-    stack A of (N, n, n) or one shared operator A of (n, n).
+    """Kronecker solves of P = W + A^T P A for stacks A and W of (N, n, n).
 
     Vectorizing row-major, vec(A^T P A) = kron(A^T, A^T) vec(P), so each P
     solves (I - kron(A^T, A^T)) vec(P) = vec(W); all N systems go to one
-    stacked solve, which factors each slice's system on its own, a shared
-    one too, so that a slice's solution does not depend on its stack."""
+    stacked solve, which factors each slice's system on its own, so that a
+    slice's solution does not depend on its stack."""
     N, n = len(W), A.shape[-1]
     At = A.swapaxes(-1, -2)
     # kron(A^T, A^T) from one outer product per slice: each entry is the
     # same single product as np.kron's, so the matrix is bit-identical and
     # far cheaper.
     kron = (At[..., :, None, :, None] * At[..., None, :, None, :]).reshape(
-        A.shape[:-2] + (n * n, n * n)
+        N, n * n, n * n
     )
     lhs, rhs = np.eye(n * n) - kron, W.reshape(N, n * n, 1)
     try:
@@ -222,7 +217,6 @@ def _kron_route(A, W):
         # A slice whose system overflowed fails the whole stacked solve.
         # Solved one by one, it alone fails, as NaN, which the residual
         # certificate rejects.
-        lhs = np.broadcast_to(lhs, (N, n * n, n * n))
         P = np.stack([_solve_or_nan(a, b) for a, b in zip(lhs, rhs)])
     return _symmetrize(P.reshape(N, n, n))
 
@@ -238,15 +232,14 @@ _UNCONVERGED = "doubling Lyapunov iteration exhausted MAX_ITER"
 
 
 def _doubling_route(A, W):
-    """Squaring iterations of P = W + A^T P A for a stack W of (N, n, n)
-    and a stack A of (N, n, n) or one shared operator A of (n, n).
+    """Squaring iterations of P = W + A^T P A for stacks A and W of
+    (N, n, n).
 
     Each slice accumulates partial sums of its series sum_k (A^T)^k W A^k
     while squaring A, and stops on its own rule: a converged slice leaves
-    the stack, so none iterates past its stop. A shared A is squared once
-    for all slices. A slice whose increment is not finite stops too: its P
-    stays non-finite from then on, and the residual certificate rejects
-    it. Returns the solutions and the indices of the slices that exhausted
+    the stack, so none iterates past its stop. A slice whose increment is
+    not finite stops too: its P stays non-finite from then on, and the
+    residual certificate rejects it. Returns the solutions and the indices of the slices that exhausted
     MAX_ITER."""
     P, M = W.copy(), A.copy()
     out = np.empty(W.shape)
@@ -265,9 +258,7 @@ def _doubling_route(A, W):
         if any(done):
             going = np.logical_not(done)
             out[live[~going]] = P[~going]
-            live, P = live[going], P[going]
-            if M.ndim == 3:
-                M = M[going]
+            live, P, M = live[going], P[going], M[going]
         M = M @ M
     out[live] = P
     return out, live
@@ -278,8 +269,8 @@ def _solve_dlyap_certified(A, W):
     size, each with its backward-error certificate
     ||P - W - A^T P A||_F <= SOLVER_RTOL * (||W||_F + (1 + ||A||_F^2) ||P||_F).
 
-    A is (N, m, m), or one (m, m) operator shared by every slice,
-    validated and known to be stable; W is a symmetric (N, m, m) stack.
+    A is an (N, m, m) stack of operators, validated and known to be
+    stable; W is a symmetric (N, m, m) stack.
     Returns the solutions, their residual matrices P - W - A^T P A, the
     list of the solutions' Frobenius norms, and a dict from slice index to
     the SolverDiverged of each slice that failed: the doubling budget ran
@@ -292,10 +283,7 @@ def _solve_dlyap_certified(A, W):
     errors = {int(k): SolverDiverged(_UNCONVERGED) for k in unconverged}
     R = P - W - A.swapaxes(-1, -2) @ P @ A
     norms = _fro(P).tolist()
-    operators = _fro(A.reshape((-1,) + A.shape[-2:])).tolist()
-    if A.ndim == 2:
-        operators *= len(W)
-    slices = zip(_fro(R).tolist(), norms, _fro(W).tolist(), operators)
+    slices = zip(_fro(R).tolist(), norms, _fro(W).tolist(), _fro(A).tolist())
     for k, (residual, norm, weight, a) in enumerate(slices):
         if residual <= SOLVER_RTOL * (weight + (1.0 + a * a) * norm) < math.inf:
             continue

@@ -268,19 +268,23 @@ def _check_keys(obj, name, allowed, required):
 
 
 def matrix_from_wire(obj, name):
-    """Decode one {"rows", "cols", "data"} wire matrix; strict schema."""
+    """Decode one {"rows", "cols", "data"} wire matrix; strict schema: the
+    sizes are JSON integers and the entries JSON numbers. A JSON true or
+    false decodes to a bool, a subclass of int, so types are compared
+    exactly."""
     if not isinstance(obj, dict):
         raise SchemaError(f"{name} must be an object with rows/cols/data")
     _check_keys(obj, name, _MATRIX_KEYS, _MATRIX_KEYS)
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
-        raise SchemaError(f"{name}: rows and cols must be positive integers")
+    for field, size in (("rows", rows), ("cols", cols)):
+        if type(size) is not int or size < 1:
+            raise SchemaError(f"{name}: {field} must be a positive integer, got {size!r}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise SchemaError(f"{name}: data must list rows*cols = {rows * cols} numbers")
-    try:
-        M = np.asarray(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{name}: data entries must be numbers") from exc
+    for k, entry in enumerate(data):
+        if type(entry) not in (int, float):
+            raise SchemaError(f"{name}: data[{k}] must be a number, got {entry!r}")
+    M = np.asarray(data, dtype=float).reshape(rows, cols)
     if not np.all(np.isfinite(M)):
         raise SchemaError(f"{name}: data entries must be finite")
     return M

@@ -149,6 +149,17 @@ def test_eval_input_errors_exit_3(tmp_path):
     assert main(["eval", "--problem", str(tmp_path / "missing.json")]) == 3
 
 
+def test_a_string_entry_in_the_problem_file_exits_3(tmp_path, capsys):
+    from conftest import EX1, CROSS_X
+
+    obj = problem_dict(EX1, CROSS_X)
+    obj["A"]["data"] = ["1.1"]
+    path = tmp_path / "string.json"
+    path.write_text(json.dumps(obj))
+    assert main(["eval", "--problem", str(path)]) == 3
+    assert "A: data[0] must be a number, got '1.1'" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_3(capsys):
     assert main([]) == 3
     assert main(["eval"]) == 3

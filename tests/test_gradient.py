@@ -3,8 +3,8 @@ import pytest
 
 import dlqr
 from dlqr import Controller, NotStabilizing, SolverDiverged
-from dlqr import cost as cost_mod
 from dlqr import descent as descent_mod
+from dlqr import gradient as gradient_mod
 from dlqr import matops
 from dlqr.cli import GRADCHECK_DEFAULT_TOL
 
@@ -205,58 +205,94 @@ def test_complex_step_passes_gradcheck_on_a_stiff_loop():
     assert stacked_diff(ga, gf) <= 1e-10 * (1.0 + ga.norm)
 
 
-def _fail_probes(monkeypatch, failures):
-    """Make the route's tangent solution of each coordinate c come back as
-    failures[c] times itself. Tangent solves are those on one shared
-    operator; they run in coordinate order, so a running count of their
-    slices names each slice's coordinate. The base evaluate's solves are
-    left alone."""
+def _route_slices(monkeypatch):
+    """The sizes of the stacks that reach either Lyapunov route, in call
+    order."""
     kron, doubling = matops._kron_route, matops._doubling_route
-    solved = [0]
+    sizes = []
 
-    def scaled(A, P):
-        if A.ndim == 2:
-            P = P.copy()
-            for k in range(len(P)):
-                P[k] *= failures.get(solved[0] + k, 1.0)
-            solved[0] += len(P)
-        return P
+    def counted(route):
+        def call(A, W):
+            sizes.append(len(W))
+            return route(A, W)
 
-    monkeypatch.setattr(matops, "_kron_route", lambda A, W: scaled(A, kron(A, W)))
-    monkeypatch.setattr(
-        matops, "_doubling_route", lambda A, W: (scaled(A, doubling(A, W)[0]), ())
-    )
+        return call
+
+    monkeypatch.setattr(matops, "_kron_route", counted(kron))
+    monkeypatch.setattr(matops, "_doubling_route", counted(doubling))
+    return sizes
 
 
-def test_solver_failures_raise_in_coordinate_order(
+def test_the_check_makes_one_lyapunov_solve_beyond_its_base_evaluate(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
-    # the tangents of B_K (coordinate 1) and C_K (coordinate 2) both fail
-    # their certificates, each in its own way, in one chunk or, below one
-    # slice's budget, in chunks of one probe: B_K's failure is raised
+    # one slice for Sigma~, whatever the number q of coordinates: q = 3 on
+    # Example 1, q = 21 on a 3-state plant with two inputs and two outputs
+    rng = np.random.default_rng(41)
+    plant = dlqr.Plant(**random_plant_arrays(rng, 3, 2, 2))
+    controller = dlqr.random_stabilizing_init(plant, 3)
     cases = [
-        ({1: np.nan, 2: 2.0}, "Lyapunov solution is not finite"),
-        ({1: 2.0, 2: np.nan}, "Lyapunov residual"),
+        (ex1_plant, rounded_k1, cross_X, 3),
+        (plant, controller, random_pd_second_moment(rng, 3), 21),
     ]
-    for stack_bytes in (cost_mod._STACK_BYTES, 1):
-        for failures, message in cases:
-            with monkeypatch.context() as patch:
-                patch.setattr(cost_mod, "_STACK_BYTES", stack_bytes)
-                _fail_probes(patch, failures)
-                with pytest.raises(SolverDiverged, match=message):
-                    dlqr.finite_difference_gradient(ex1_plant, rounded_k1, cross_X)
+    for plant, controller, X, q in cases:
+        assert dlqr.controller_to_vector(controller).size == q
+        with monkeypatch.context() as patch:
+            sizes = _route_slices(patch)
+            dlqr.evaluate(plant, controller, X)
+            base = sum(sizes)
+            sizes.clear()
+            dlqr.finite_difference_gradient(plant, controller, X)
+        assert sum(sizes) == base + 1
 
 
-def test_the_probe_certificate_judges_the_derivative(ex1_plant, cross_X, monkeypatch):
-    # the derivative part of every probe's solution, tripled: a certificate
-    # on the real part alone, which the base evaluate has already passed,
-    # would return dC_K = -0.0696 against the analytic -0.0232
-    controller = Controller(A_K=-0.944, B_K=4.4, C_K=-0.236)
-    grad = dlqr.analytic_gradient(ex1_plant, controller, cross_X)
-    assert grad.dC_K[0, 0] == pytest.approx(-0.0232, abs=1e-4)
-    _fail_probes(monkeypatch, {c: 3.0 for c in range(3)})
-    with pytest.raises(SolverDiverged, match="Lyapunov residual"):
-        dlqr.finite_difference_gradient(ex1_plant, controller, cross_X)
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_checks_sigma_is_bit_identical_to_evaluates(n, monkeypatch):
+    # the check solves Sigma~ itself, on both routes (loops of 2 to 14
+    # states), and gets the bits of the report's Sigma
+    rng = np.random.default_rng((0, n))
+    arrays = random_plant_arrays(rng, n, min(n, 2), min(n, 2))
+    plant, controller = _observer_instance(arrays)
+    X = random_pd_second_moment(rng, n)
+    solved = []
+    original = gradient_mod._solve_dlyap_certified
+
+    def recording(A, W):
+        result = original(A, W)
+        solved.append(result[0])
+        return result
+
+    monkeypatch.setattr(gradient_mod, "_solve_dlyap_certified", recording)
+    dlqr.finite_difference_gradient(plant, controller, X)
+    (Sigma,) = solved
+    assert Sigma.shape == (1, 2 * n, 2 * n)
+    assert Sigma[0].tobytes() == dlqr.evaluate(plant, controller, X).Sigma.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize(
+    "factor, message",
+    [(1.0 + 1e-6, "Lyapunov residual"), (np.nan, "Lyapunov solution is not finite")],
+)
+def test_sigma_tilde_is_certified(n, factor, message, monkeypatch):
+    # Sigma~, the one single-slice solve, off by 1e-6 of itself or NaN in
+    # its route (Kronecker at n = 1, doubling at n = 3), while the base
+    # evaluate's pair is left alone: the check raises, and returns nothing
+    rng = np.random.default_rng((0, n))
+    plant, controller = _observer_instance(random_plant_arrays(rng, n, 1, 1))
+    X = random_pd_second_moment(rng, n)
+    kron, doubling = matops._kron_route, matops._doubling_route
+
+    def scaled(P):
+        return factor * P if len(P) == 1 else P
+
+    monkeypatch.setattr(matops, "_kron_route", lambda A, W: scaled(kron(A, W)))
+    monkeypatch.setattr(
+        matops, "_doubling_route", lambda A, W: (scaled(doubling(A, W)[0]), ())
+    )
+    dlqr.evaluate(plant, controller, X)
+    with pytest.raises(SolverDiverged, match=message):
+        dlqr.finite_difference_gradient(plant, controller, X)
 
 
 def test_complex_probes_need_no_eigen_decomposition(monkeypatch):

@@ -185,50 +185,6 @@ def test_fro_is_bit_identical_on_real_stacks():
         assert matops._fro(M).tolist() == [float(np.linalg.norm(m)) for m in M]
 
 
-@pytest.mark.parametrize("m", [KRON_DIM_LIMIT, KRON_DIM_LIMIT + 4])
-def test_shared_operator_solves_are_bit_identical_to_each_weight_alone(m, monkeypatch):
-    # one operator A shared by a stack of weights, as the complex-step
-    # gradient's tangent equations share their base loop: each slice's
-    # solution, residual and norm equal those of its weight solved alone on
-    # A, as a stack of one operator, on either route; the weights are
-    # symmetric and indefinite, as tangent weights are, of scales 0 and
-    # 1e-6 to 1e6, and on m = 8 the doubling slices stop after 1, 9 or 10
-    # squarings
-    rng = np.random.default_rng(23)
-    A = stable_random(rng, m, rho=0.95)
-    W = np.empty((5, m, m))
-    for k, scale in enumerate((1.0, 1e-6, 1e6, 3.0, 0.0)):
-        G = rng.normal(size=(m, m))
-        W[k] = scale * (G + G.T)
-    P, R, norms, errors = _solve_dlyap_certified(A, W)
-    assert not errors
-    for k in range(len(W)):
-        for operator in (A, A[None]):
-            alone = _solve_dlyap_certified(operator, W[k : k + 1])
-            (P1,), (R1,), (norm1,), errors1 = alone
-            assert not errors1
-            assert P[k].tobytes() == P1.tobytes()
-            assert R[k].tobytes() == R1.tobytes()
-            assert norms[k] == norm1
-    assert not P[-1].any()
-    # the certificate judges each slice on the shared operator: one
-    # solution off by 1e-6 of itself fails it, alone
-    kron, doubling = matops._kron_route, matops._doubling_route
-
-    def perturbed(P):
-        P = P.copy()
-        P[3] *= 1.0 + 1e-6
-        return P
-
-    monkeypatch.setattr(matops, "_kron_route", lambda A, W: perturbed(kron(A, W)))
-    monkeypatch.setattr(
-        matops, "_doubling_route", lambda A, W: (perturbed(doubling(A, W)[0]), ())
-    )
-    _, _, _, errors = _solve_dlyap_certified(A, W)
-    assert list(errors) == [3]
-    assert "Lyapunov residual" in str(errors[3])
-
-
 def test_solve_dare_control_scalar_closed_form():
     for a, q in ((1.1, 5.0), (0.9, 5.0), (1.7, 0.3), (0.2, 2.0)):
         P, K = solve_dare_control(Plant(A=a, B=1.0, C=1.0, Q=q, R=1.0))

@@ -190,6 +190,21 @@ def test_matrix_from_wire_schema_errors():
         dlqr.matrix_from_wire({"rows": 1, "cols": 1, "data": ["x"]}, "M")
     with pytest.raises(SchemaError):
         dlqr.matrix_from_wire({"rows": 1, "cols": 1, "data": [float("nan")]}, "M")
+    # JSON numbers only: no strings, booleans or nested lists as entries,
+    # and no boolean as a size; each message names its field
+    cases = [
+        ({"rows": 1, "cols": 2, "data": ["1.5", "2"]}, r"M: data\[0\] must be a number"),
+        ({"rows": 1, "cols": 1, "data": [True]}, r"M: data\[0\] must be a number"),
+        ({"rows": 1, "cols": 1, "data": [[3.0]]}, r"M: data\[0\] must be a number"),
+        ({"rows": True, "cols": 1, "data": [1.0]}, "M: rows must be a positive integer"),
+        ({"rows": 1, "cols": False, "data": [1.0]}, "M: cols must be a positive"),
+    ]
+    for obj, message in cases:
+        with pytest.raises(SchemaError, match=message):
+            dlqr.matrix_from_wire(obj, "M")
+    # integers are numbers
+    M = dlqr.matrix_from_wire({"rows": 1, "cols": 2, "data": [1, 2.5]}, "M")
+    assert M.tolist() == [[1.0, 2.5]]
 
 
 def test_parse_problem_round_trip(rounded_k1):
