@@ -165,18 +165,26 @@ def cmd_stationary(args):
     return 0
 
 
-def _parse_target(spec, kind, syntax):
-    # NAME[i,j]=VALUE (indices optional for 1x1 matrices); returns the
-    # target and the unparsed VALUE
+def _parse_target(spec, kind, syntax, controller):
+    # NAME[i,j]=VALUE (indices optional for 1x1 matrices); returns the entry
+    # (name, i, j), checked against the controller's matrices, and the
+    # unparsed VALUE
     if "=" not in spec:
         raise SchemaError(f"{kind} '{spec}' must look like NAME[i,j]={syntax}")
     target, _, value = spec.partition("=")
     m = _SWEEP_TARGET.match(target.strip())
     if m is None:
         raise SchemaError(f"{kind} target '{target}' must be A_K, B_K or C_K [i,j]")
-    i = int(m.group(2)) if m.group(2) is not None else None
-    j = int(m.group(3)) if m.group(3) is not None else None
-    return (m.group(1), i, j), value
+    name, shape = m.group(1), getattr(controller, m.group(1)).shape
+    if m.group(2) is None:
+        if shape != (1, 1):
+            raise SchemaError(f"{name} is {shape[0]}x{shape[1]}; use {name}[i,j]")
+        i = j = 0
+    else:
+        i, j = int(m.group(2)), int(m.group(3))
+    if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+        raise SchemaError(f"{name}[{i},{j}] is out of bounds for shape {shape}")
+    return (name, i, j), value
 
 
 def _parse_range(spec, kind):
@@ -195,19 +203,6 @@ def _parse_range(spec, kind):
     if not lo < hi:
         raise SchemaError(f"{kind} min must be below max")
     return np.linspace(lo, hi, steps)
-
-
-def _entry(mats, target):
-    # (name, i, j) of a sweep or fix target, checked against the matrices
-    name, i, j = target
-    M = mats[name]
-    if i is None:
-        if M.shape != (1, 1):
-            raise SchemaError(f"{name} is {M.shape[0]}x{M.shape[1]}; use {name}[i,j]")
-        i = j = 0
-    if not (0 <= i < M.shape[0] and 0 <= j < M.shape[1]):
-        raise SchemaError(f"{name}[{i},{j}] is out of bounds for shape {M.shape}")
-    return name, i, j
 
 
 def _csv_row(axis1, axis2, J, stabilizing, rho):
@@ -265,11 +260,11 @@ def cmd_landscape(args):
         raise SchemaError("at most two sweep axes are supported")
     axes = []
     for spec in args.sweep:
-        target, rng = _parse_target(spec, "sweep", "min:max:steps")
+        target, rng = _parse_target(spec, "sweep", "min:max:steps", base)
         axes.append((target, _parse_range(rng, "sweep")))
     fixed = []
     for spec in args.fix:
-        target, value = _parse_target(spec, "fix", "value")
+        target, value = _parse_target(spec, "fix", "value", base)
         try:
             v = float(value)
         except ValueError as exc:
@@ -278,15 +273,16 @@ def cmd_landscape(args):
             raise SchemaError(f"fix value '{value}' must be finite")
         fixed.append((target, v))
 
-    mats = {"A_K": base.A_K.copy(), "B_K": base.B_K.copy(), "C_K": base.C_K.copy()}
-    for target, v in fixed:
-        name, i, j = _entry(mats, target)
-        mats[name][i, j] = v
-    entries = [_entry(mats, target) for target, _ in axes]
+    # resolved entries, so that C_K and C_K[0,0] are the same
+    targets = [target for target, _ in fixed + axes]
+    for k, (name, i, j) in enumerate(targets):
+        if (name, i, j) in targets[:k]:
+            raise SchemaError(f"{name}[{i},{j}] is named more than once")
     # One slice per cell, in row order: the last axis varies fastest.
     grid = [g.ravel() for g in np.meshgrid(*(v for _, v in axes), indexing="ij")]
+    mats = {"A_K": base.A_K, "B_K": base.B_K, "C_K": base.C_K}
     stacks = {k: np.repeat(M[None], len(grid[0]), axis=0) for k, M in mats.items()}
-    for (name, i, j), values in zip(entries, grid):
+    for (name, i, j), values in zip(targets, [v for _, v in fixed] + grid):
         stacks[name][:, i, j] = values
     J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X)
     for k, values in enumerate(zip(*grid)):

@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: discrete Lyapunov and Riccati solvers,
-spectral radius, and Kalman rank tests.
+spectral radius, and the observability staircase.
 
 All routines work on plain numpy arrays and are pure functions of their
 inputs. Problems here are desk-scale, so the Lyapunov equation is solved
@@ -461,14 +461,6 @@ def solve_dare_filter(plant, W):
     return Sigma, gain.T
 
 
-def psd_sqrt(M):
-    """Symmetric PSD square root via eigendecomposition (negatives clipped)."""
-    M = _check_symmetric(_as_matrix(M, "M", square=True), "M")
-    w, V = np.linalg.eigh(M)
-    w = np.clip(w, 0.0, None)
-    return V @ np.diag(np.sqrt(w)) @ V.T
-
-
 def has_full_row_rank(M):
     """Numerical full-row-rank test: at most as many rows as columns, and
     not singular by the singular-value rule. A scalar or a 1-d array is a
@@ -478,20 +470,36 @@ def has_full_row_rank(M):
 
 
 def is_controllable(A, B):
-    """Kalman rank test for controllability of (A, B): the controllability
-    matrix [B, AB, ..., A^{n-1}B] has full row rank."""
+    """Controllability of (A, B): is_observable's staircase on the dual
+    pair (B^T, A^T), its blocks judged relative to sigma_max(B), then A's."""
     A = _as_matrix(A, "A", square=True)
     B = _as_matrix(B, "B")
     _check_shape(B, "B", (A.shape[0], B.shape[1]))
-    blocks = [B]
-    for _ in range(A.shape[0] - 1):
-        blocks.append(A @ blocks[-1])
-    return has_full_row_rank(np.hstack(blocks))
+    return is_observable(B.T, A.T)
 
 
 def is_observable(C, A):
-    """Kalman rank test for observability of (C, A), by duality."""
+    """Observability of (C, A) by an orthogonal staircase (Paige 1981, Van
+    Dooren 1981): an orthonormal basis V starts as range C^T and grows by
+    the part of A^T N, N its last block, orthogonal to V, until it reaches
+    n columns (observable) or a block is empty. Each block's rank is the
+    singular-value rule relative to sigma_max(C) for the first, sigma_max(A)
+    for the others, so no change of orthonormal basis or scaling of C or A
+    alters the verdict; the Kalman matrix's rows turn parallel as n grows."""
     A = _as_matrix(A, "A", square=True)
     C = _as_matrix(C, "C")
     _check_shape(C, "C", (C.shape[0], A.shape[0]))
-    return is_controllable(A.T, C.T)
+    U, sv, _ = np.linalg.svd(C.T, full_matrices=False)
+    V = N = U[:, sv > SINGULAR_RTOL * sv[0]]
+    # sigma_max(A) from an SVD: a Frobenius norm overflows above about 1e154
+    tol = SINGULAR_RTOL * np.linalg.svd(A, compute_uv=False)[0]
+    while N.shape[1] and V.shape[1] < len(A):
+        Y = A.T @ N
+        # twice (Parlett 1980): once leaves an error of eps over the kept
+        # sigma ratio, enough to keep spurious directions on defective pairs
+        Y -= V @ (V.T @ Y)
+        Y -= V @ (V.T @ Y)
+        U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+        N = U[:, sv > tol]
+        V = np.hstack([V, N])
+    return V.shape[1] == len(A)

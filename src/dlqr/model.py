@@ -13,7 +13,7 @@ from .errors import (
     DimensionMismatch,
     SchemaError,
 )
-from .matops import _as_matrix, _check_psd, _check_symmetric
+from .matops import _as_matrix, _check_psd, _check_shape, _check_symmetric
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,7 +22,8 @@ class Plant:
     weights Q on the state and R on the input.
 
     Validated at construction: Q symmetric PSD, R symmetric PD, C full row
-    rank, (A, B) controllable, (C, A) and (Q^{1/2}, A) observable.
+    rank, (A, B) controllable, (C, A) and (Q^{1/2}, A) observable, the last
+    tested on (Q, A), whose first staircase block spans the same range.
     Violations raise AssumptionViolated; shape conflicts raise
     DimensionMismatch.
     """
@@ -46,11 +47,8 @@ class Plant:
             raise DimensionMismatch(f"B must have {n} rows, got {B.shape}")
         if C.shape[1] != n:
             raise DimensionMismatch(f"C must have {n} columns, got {C.shape}")
-        if Q.shape != (n, n):
-            raise DimensionMismatch(f"Q must be {n}x{n}, got {Q.shape}")
-        m = B.shape[1]
-        if R.shape != (m, m):
-            raise DimensionMismatch(f"R must be {m}x{m}, got {R.shape}")
+        _check_shape(Q, "Q", (n, n))
+        _check_shape(R, "R", (B.shape[1], B.shape[1]))
         Q = _check_symmetric(Q, "Q")
         R = _check_symmetric(R, "R")
         _check_psd(Q, "Q")
@@ -61,7 +59,7 @@ class Plant:
             raise AssumptionViolated("(A, B) must be controllable")
         if not matops.is_observable(C, A):
             raise AssumptionViolated("(C, A) must be observable")
-        if not matops.is_observable(matops.psd_sqrt(Q), A):
+        if not matops.is_observable(Q, A):
             raise AssumptionViolated("(Q^{1/2}, A) must be observable")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -217,14 +215,16 @@ def assemble(plant, controller):
 
 
 def is_stabilizing(plant, controller):
-    """True iff the closed-loop spectral radius is below
+    """True iff A_cl is finite and its spectral radius is below
     1 - matops.STABILITY_MARGIN, the threshold of evaluate's screen."""
-    loop = assemble(plant, controller)
-    return matops.spectral_radius(loop.A_cl) < 1.0 - matops.STABILITY_MARGIN
+    with np.errstate(over="ignore", invalid="ignore"):  # screened, as in evaluate
+        A_cl = assemble(plant, controller).A_cl
+    threshold = 1.0 - matops.STABILITY_MARGIN
+    return bool(np.isfinite(A_cl).all()) and matops.spectral_radius(A_cl) < threshold
 
 
 def is_observable_controller(controller):
-    """Kalman observability of the pair (C_K, A_K)."""
+    """Observability of the pair (C_K, A_K), by matops.is_observable."""
     return matops.is_observable(controller.C_K, controller.A_K)
 
 
@@ -233,11 +233,8 @@ def observer_based(plant, K_gain, L_gain):
     A_K = A - B K - L C, B_K = L, C_K = -K."""
     K = np.atleast_2d(np.asarray(K_gain, dtype=float))
     L = np.atleast_2d(np.asarray(L_gain, dtype=float))
-    n, m, d = plant.n, plant.m, plant.d
-    if K.shape != (m, n):
-        raise DimensionMismatch(f"K_gain must be {m}x{n}, got {K.shape}")
-    if L.shape != (n, d):
-        raise DimensionMismatch(f"L_gain must be {n}x{d}, got {L.shape}")
+    _check_shape(K, "K_gain", (plant.m, plant.n))
+    _check_shape(L, "L_gain", (plant.n, plant.d))
     A_K = plant.A - plant.B @ K - L @ plant.C
     return Controller(A_K, L, -K)
 

@@ -414,6 +414,15 @@ def test_landscape_spec_errors_exit_3(ex1_problem_file, tmp_path, capsys):
     assert main(base + three) == 3
     assert main(base + ["--orbit", "1:2:3", "--sweep", "B_K=0:1:3"]) == 3
     assert main(base + ["--orbit", "2:1:5"]) == 3
+    # one entry named twice, with or without indices
+    for twice in (
+        ["--sweep", "C_K=-0.4:-0.1:3", "--sweep", "C_K=-0.3:-0.2:2"],
+        ["--sweep", "C_K=-0.4:-0.1:3", "--fix", "C_K[0,0]=-0.2"],
+        ["--sweep", "B_K=2:6:3", "--fix", "A_K=-0.9", "--fix", "A_K[0,0]=-0.8"],
+    ):
+        capsys.readouterr()
+        assert main(base + twice) == 3
+        assert "[0,0] is named more than once" in capsys.readouterr().err
     capsys.readouterr()
     assert main(base + ["--orbit=-1:1:3"]) == 3  # the grid contains t = 0
     assert "t = 0" in capsys.readouterr().err

@@ -212,6 +212,15 @@ def test_random_init_matrix_plant():
     assert dlqr.is_stabilizing(plant, controller)
 
 
+def test_random_init_on_oracle_plant_9_6():
+    # random_plant_arrays(default_rng((9, 6)), 6, 1, 1): the Kalman
+    # matrices of all 106 stable samples have sigma ratios near 4e-13
+    plant = dlqr.Plant(**random_plant_arrays(np.random.default_rng((9, 6)), 6, 1, 1))
+    controller = dlqr.random_stabilizing_init(plant, 0)
+    assert dlqr.is_stabilizing(plant, controller)
+    assert dlqr.is_observable_controller(controller)
+
+
 def test_random_init_gives_up_eventually(ex1_plant, monkeypatch):
     # absurd noise throws every sample far outside the stabilizing set
     monkeypatch.setattr(descent_mod, "INIT_NOISE_SCALE", 1e12)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,25 @@ def test_is_stabilizing(ex1_plant, rounded_k1):
     assert dlqr.is_stabilizing(ex1_plant, rounded_k1)
     zero = Controller(A_K=0.0, B_K=0.0, C_K=0.0)
     assert not dlqr.is_stabilizing(ex1_plant, zero)
+
+
+def test_is_stabilizing_is_false_on_an_overflowing_loop():
+    # B C_K = 1e200 * 1e200 overflows A_cl, which has no spectral radius
+    plant = Plant(A=0.5, B=1e200, C=1.0, Q=1.0, R=1.0)
+    controller = Controller(A_K=-0.5, B_K=1e-161, C_K=1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dlqr.is_stabilizing(plant, controller) is False
+
+
+def test_plant_with_huge_dynamics_constructs_without_a_warning():
+    # A^2 overflows, so no test may form a power of A, as the Kalman
+    # matrix's block A^2 B does
+    A = np.random.default_rng(0).normal(size=(3, 3)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plant = Plant(A=A, B=np.ones((3, 1)), C=np.ones((1, 3)), Q=np.eye(3), R=1.0)
+    assert plant.n == 3
 
 
 def test_is_observable_controller():
