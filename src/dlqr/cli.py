@@ -4,6 +4,13 @@ Problem files are JSON (see the model module schema). Sweeps write CSV
 with deterministic row order; all numbers are printed with 17 significant
 digits so downstream plots reproduce bit-faithfully.
 
+`eval`, `stationary`, `gradcheck` and `descend` each build one result, a
+JSON object, and `_emit` prints it: with `--json` as that object, else as
+one `key = value` line per leaf, nested keys dotted (`residuals.rP12`),
+wire matrices as nested lists, floats with 17 significant digits and
+booleans, integers and null as their JSON scalars. The two outputs carry
+the same fields.
+
 The parser is built once, at import, and holds every default: `--tol` is
 `gradcheck`'s pass threshold, GRADCHECK_DEFAULT_TOL, and `descend`'s one
 tuning flag, `--max-iter`, defaults to descent.ITERATION_BUDGET. The solver
@@ -42,6 +49,7 @@ from .errors import (
 )
 from .gradient import GradientTriple, analytic_gradient, finite_difference_gradient
 from .model import (
+    _read_json,
     controller_from_wire,
     controller_to_vector,
     load_problem,
@@ -59,10 +67,39 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _fmt_matrix(M):
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows = ["[" + ", ".join(_fmt(v) for v in row) + "]" for row in M]
+def _fmt_matrix(wire):
+    data, cols = wire["data"], wire["cols"]
+    rows = (
+        "[" + ", ".join(map(_fmt, data[i : i + cols])) + "]"
+        for i in range(0, len(data), cols)
+    )
     return "[" + ", ".join(rows) + "]"
+
+
+def _lines(result, prefix=""):
+    # one (dotted key, text) pair per leaf; a wire matrix is one leaf
+    for key, value in result.items():
+        key = prefix + key
+        if isinstance(value, dict) and value.keys() != {"rows", "cols", "data"}:
+            yield from _lines(value, key + ".")
+        elif isinstance(value, dict):
+            yield key, _fmt_matrix(value)
+        elif isinstance(value, float):
+            yield key, _fmt(value)
+        elif isinstance(value, str):
+            yield key, value
+        else:  # bool, int or None
+            yield key, json.dumps(value)
+
+
+def _emit(result, as_json):
+    """Print a command's result: its JSON, or one `key = value` line per
+    leaf, nested keys dotted."""
+    if as_json:
+        print(json.dumps(result))
+    else:
+        for key, text in _lines(result):
+            print(f"{key} = {text}")
 
 
 def _controller_wire(controller):
@@ -73,18 +110,9 @@ def _controller_wire(controller):
     }
 
 
-def _load_controller_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in controller file: {exc}") from exc
-    return controller_from_wire(obj, "controller")
-
-
 def _resolve_controller(problem, controller_path):
     if controller_path is not None:
-        return _load_controller_file(controller_path)
+        return controller_from_wire(_read_json(controller_path), "controller")
     if problem.seed_controller is not None:
         return problem.seed_controller
     raise SchemaError("no controller: pass --controller or add seed_controller")
@@ -95,7 +123,6 @@ def cmd_eval(args):
     problem = load_problem(args.problem)
     controller = _resolve_controller(problem, args.controller)
     report = evaluate(problem.plant, controller, problem.X)
-    rho, lam_P, lam_S = report.rho, report.lambda_min_P, report.lambda_min_Sigma
     # the six independent n x n blocks of the certificates' residual
     # matrices (the 21 block duplicates the 12 block by symmetry)
     halves = (slice(None, report.n), slice(report.n, None))
@@ -104,27 +131,15 @@ def cmd_eval(args):
         for name, M in (("P", report.r_P), ("S", report.r_Sigma))
         for i, j in ((0, 0), (0, 1), (1, 1))
     }
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "J": report.J,
-                    "J_error": report.J_error,
-                    "rho": rho,
-                    "lambda_min_P": lam_P,
-                    "lambda_min_Sigma": lam_S,
-                    "residuals": residuals,
-                }
-            )
-        )
-    else:
-        print(f"J                = {_fmt(report.J)}")
-        print(f"J_error          = {_fmt(report.J_error)}")
-        print(f"rho(A_cl)        = {_fmt(rho)}")
-        print(f"lambda_min(P)    = {_fmt(lam_P)}")
-        print(f"lambda_min(Sigma) = {_fmt(lam_S)}")
-        for key in sorted(residuals):
-            print(f"residual {key}   = {_fmt(residuals[key])}")
+    result = {
+        "J": report.J,
+        "J_error": report.J_error,
+        "rho": report.rho,
+        "lambda_min_P": report.lambda_min_P,
+        "lambda_min_Sigma": report.lambda_min_Sigma,
+        "residuals": residuals,
+    }
+    _emit(result, args.as_json)
     return 0
 
 
@@ -132,36 +147,20 @@ def cmd_stationary(args):
     """Construct the closed-form stationary controller and print it."""
     problem = load_problem(args.problem)
     cert = stationary_candidate(problem.plant, problem.X)
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "K_star": _controller_wire(cert.K_star),
-                    "K_dagger": _controller_wire(cert.K_dagger),
-                    "T_star": matrix_to_wire(cert.T_star.T),
-                    "K_gain": matrix_to_wire(cert.K_gain),
-                    "L_gain": matrix_to_wire(cert.L_gain),
-                    "P_hat": matrix_to_wire(cert.P_hat),
-                    "Sigma_hat": matrix_to_wire(cert.Sigma_hat),
-                    "J": cert.J,
-                    "J_error": cert.J_error,
-                    "riccati_residuals": cert.riccati_residuals,
-                    "residuals": cert.residuals,
-                }
-            )
-        )
-    else:
-        print(f"K_star.A_K = {_fmt_matrix(cert.K_star.A_K)}")
-        print(f"K_star.B_K = {_fmt_matrix(cert.K_star.B_K)}")
-        print(f"K_star.C_K = {_fmt_matrix(cert.K_star.C_K)}")
-        print(f"K_gain     = {_fmt_matrix(cert.K_gain)}")
-        print(f"L_gain     = {_fmt_matrix(cert.L_gain)}")
-        print(f"T_star     = {_fmt_matrix(cert.T_star.T)}")
-        print(f"P_hat      = {_fmt_matrix(cert.P_hat)}")
-        print(f"Sigma_hat  = {_fmt_matrix(cert.Sigma_hat)}")
-        print(f"J          = {_fmt(cert.J)}")
-        for key in sorted(cert.residuals):
-            print(f"residual {key} = {_fmt(cert.residuals[key])}")
+    result = {
+        "K_star": _controller_wire(cert.K_star),
+        "K_dagger": _controller_wire(cert.K_dagger),
+        "T_star": matrix_to_wire(cert.T_star.T),
+        "K_gain": matrix_to_wire(cert.K_gain),
+        "L_gain": matrix_to_wire(cert.L_gain),
+        "P_hat": matrix_to_wire(cert.P_hat),
+        "Sigma_hat": matrix_to_wire(cert.Sigma_hat),
+        "J": cert.J,
+        "J_error": cert.J_error,
+        "riccati_residuals": cert.riccati_residuals,
+        "residuals": cert.residuals,
+    }
+    _emit(result, args.as_json)
     return 0
 
 
@@ -323,21 +322,13 @@ def cmd_gradcheck(args):
         discrepancies.append(diff.norm / (1.0 + ga.norm))
     worst = float(np.max(discrepancies))  # NaN propagates, and NaN fails
     passed = worst <= args.tol
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "max_rel_err": worst,
-                    "trials": len(controllers),
-                    "tol": args.tol,
-                    "pass": passed,
-                }
-            )
-        )
-    else:
-        print(f"gradient check: {len(controllers)} controllers")
-        print(f"max relative discrepancy = {_fmt(worst)} (tolerance {_fmt(args.tol)})")
-        print("PASS" if passed else "FAIL")
+    result = {
+        "max_rel_err": worst,
+        "trials": len(controllers),
+        "tol": args.tol,
+        "pass": passed,
+    }
+    _emit(result, args.as_json)
     return 0 if passed else 5
 
 
@@ -378,51 +369,30 @@ def cmd_descend(args):
         )
     _write_lines(args.out, lines)
     final = trace.final_controller
+    result = {
+        "status": trace.status,
+        "iterations": trace.iterations,
+        "canonicalizations": trace.canonicalizations,
+        "evaluations": trace.evaluations,
+        "backtracks": trace.backtracks,
+        "rejected_unstable": trace.rejected_unstable,
+        "J": trace.final_J,
+        "J_error": trace.final_J_error,
+        "grad_norm": trace.final_grad_norm,
+        "controller": _controller_wire(final),
+    }
     try:
         cert, raw, canonical = _candidate_distance(plant, problem.X, final)
-        distance = {
+    except (SingularX12, AssumptionViolated, SolverDiverged) as exc:
+        result.update(distance_to_candidate=None, candidate_error=str(exc))
+    else:
+        result["distance_to_candidate"] = {
             "raw": raw,
             "canonical": canonical,
             "J_candidate": cert.J,
             "J_minus_J_candidate": trace.final_J - cert.J,
         }
-    except (SingularX12, AssumptionViolated, SolverDiverged) as exc:
-        distance = None
-        reason = str(exc)
-    if args.as_json:
-        print(
-            json.dumps(
-                {
-                    "status": trace.status,
-                    "iterations": trace.iterations,
-                    "canonicalizations": trace.canonicalizations,
-                    "evaluations": trace.evaluations,
-                    "backtracks": trace.backtracks,
-                    "rejected_unstable": trace.rejected_unstable,
-                    "J": trace.final_J,
-                    "J_error": trace.final_J_error,
-                    "grad_norm": trace.final_grad_norm,
-                    "controller": _controller_wire(final),
-                    "distance_to_candidate": distance,
-                }
-            )
-        )
-    else:
-        print(f"status     = {trace.status}")
-        print(f"iterations = {trace.iterations}")
-        print(f"J          = {_fmt(trace.final_J)}")
-        print(f"grad_norm  = {_fmt(trace.final_grad_norm)}")
-        print(f"A_K        = {_fmt_matrix(final.A_K)}")
-        print(f"B_K        = {_fmt_matrix(final.B_K)}")
-        print(f"C_K        = {_fmt_matrix(final.C_K)}")
-        if distance is not None:
-            print(f"distance to stationary candidate (raw)       = {_fmt(distance['raw'])}")
-            print(
-                f"distance to stationary candidate (canonical) = {_fmt(distance['canonical'])}"
-            )
-            print(f"candidate J = {_fmt(distance['J_candidate'])}")
-        else:
-            print(f"stationary candidate unavailable: {reason}")
+    _emit(result, args.as_json)
     return 0
 
 
@@ -487,7 +457,13 @@ def _build_parser():
 
     p = sub.add_parser("descend", help="stability-safeguarded gradient descent")
     common(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the random stabilizing start, used only when the "
+        "problem has no seed_controller",
+    )
     p.add_argument("--out", default=None, help="trace CSV path (default stdout)")
     p.add_argument(
         "--max-iter", type=int, default=ITERATION_BUDGET, help="iteration budget"

@@ -241,12 +241,12 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     report = evaluate(plant, init, X)
     grad = analytic_gradient(plant, init, X, report=report)
     controller, J = init, report.J
-    theta, g_vec = controller_to_vector(init), _grad_vector(grad)
+    theta, g_vec, gnorm = controller_to_vector(init), _grad_vector(grad), grad.norm
     steps = [
         DescentStep(
             controller=init,
             J=J,
-            grad_norm=grad.norm,
+            grad_norm=gnorm,
             step=0.0,
             J_error=report.J_error,
             evaluations=1,
@@ -256,12 +256,12 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     # trial step without a usable BB quotient: STEP0 at the start, the last
     # accepted step after an orbit jump
     t_default = STEP0
-    status = MAX_ITER
-    for k in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(g_vec))
-        if gnorm <= GRAD_TOL:
-            status = CONVERGED
-            break
+    # the stop rule is judged on the start and on every accepted step, with
+    # the gradient norm each step reports
+    status = CONVERGED if gnorm <= GRAD_TOL else MAX_ITER
+    k = 0
+    while status == MAX_ITER and k < max_iter:
+        k += 1
         t = t_default
         if prev_theta is not None:
             s = theta - prev_theta
@@ -305,12 +305,12 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
             prev_theta, t_default = None, t
         controller, J, theta = cand, cand_report.J, cand_vec
         grad = analytic_gradient(plant, controller, X, report=cand_report)
-        g_vec = _grad_vector(grad)
+        g_vec, gnorm = _grad_vector(grad), grad.norm
         steps.append(
             DescentStep(
                 controller=controller,
                 J=J,
-                grad_norm=grad.norm,
+                grad_norm=gnorm,
                 step=t,
                 J_error=cand_report.J_error,
                 canonicalized=jump is not None,
@@ -319,8 +319,8 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
                 evaluations=evaluations,
             )
         )
-    if status == MAX_ITER and steps[-1].grad_norm <= GRAD_TOL:
-        status = CONVERGED
+        if gnorm <= GRAD_TOL:
+            status = CONVERGED
     return DescentTrace(steps=tuple(steps), status=status)
 
 

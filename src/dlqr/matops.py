@@ -5,8 +5,10 @@ All routines work on plain numpy arrays and are pure functions of their
 inputs. Problems here are desk-scale, so the Lyapunov equation is solved
 by an exact dense solve (Kronecker vectorization) for small closed loops
 and by a squaring iteration for larger ones. Both routes are private:
-_solve_dlyap_certified, which the cost module's certified pair calls,
-picks one by size and certifies its solutions by their backward error
+_solve_dlyap_certified picks one by size and certifies its solutions by
+their backward error. The cost module's certified pair, each
+Newton-Hewer step of the Riccati solves below and the complex-step
+gradient check's Sigma~ all solve through it. The backward error is
 
     ||P - W - A^T P A||_F <= SOLVER_RTOL * (||W||_F + (1 + ||A||_F^2) ||P||_F),
 

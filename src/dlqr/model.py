@@ -323,11 +323,16 @@ def parse_problem(obj):
     return Problem(plant, X, seed)
 
 
-def load_problem(path):
-    """Read and parse a JSON problem file."""
+def _read_json(path):
+    """The decoded JSON document in the file at path; SchemaError if it is
+    not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON: {exc}") from exc
-    return parse_problem(obj)
+            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+
+
+def load_problem(path):
+    """Read and parse a JSON problem file."""
+    return parse_problem(_read_json(path))

@@ -29,10 +29,10 @@ def test_eval_human_output(ex1_problem_file, capsys, ex1_plant, rounded_k1, cros
     assert main(["eval", "--problem", ex1_problem_file]) == 0
     out = capsys.readouterr().out
     report = dlqr.evaluate(ex1_plant, rounded_k1, cross_X)
-    assert f"J                = {report.J:.17g}\n" in out
-    assert f"J_error          = {report.J_error:.17g}\n" in out
-    assert "rho(A_cl)" in out
-    assert "residual rP12" in out
+    assert f"J = {report.J:.17g}\n" in out
+    assert f"J_error = {report.J_error:.17g}\n" in out
+    assert "rho = " in out
+    assert "residuals.rP12 = " in out
 
 
 def test_eval_json_output(ex1_problem_file, capsys):
@@ -149,6 +149,15 @@ def test_eval_input_errors_exit_3(tmp_path):
     assert main(["eval", "--problem", str(tmp_path / "missing.json")]) == 3
 
 
+def test_an_invalid_json_controller_file_exits_3(ex1_problem_file, tmp_path, capsys):
+    bad = tmp_path / "controller.json"
+    bad.write_text('{"A_K": ')
+    assert main(["eval", "--problem", ex1_problem_file, "--controller", str(bad)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"dlqr: input error: invalid JSON in {bad}: ")
+    assert captured.out == ""
+
+
 def test_a_string_entry_in_the_problem_file_exits_3(tmp_path, capsys):
     from conftest import EX1, CROSS_X
 
@@ -177,8 +186,49 @@ def test_stationary_human_output(ex1_problem_file, capsys):
     assert main(["stationary", "--problem", ex1_problem_file]) == 0
     out = capsys.readouterr().out
     assert "K_star.B_K = [[4.4000000000000004]]" in out
-    assert "T_star     = [[4]]" in out
-    assert "residual gradient_norm" in out
+    assert "T_star = [[4]]" in out
+    assert "residuals.gradient_norm = " in out
+
+
+def _leaves(payload, prefix=""):
+    # the dotted key and value of each leaf; a wire matrix is one leaf
+    for key, value in payload.items():
+        if isinstance(value, dict) and set(value) != {"rows", "cols", "data"}:
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval"],
+        ["stationary"],
+        ["gradcheck", "--trials", "2"],
+        ["descend", "--max-iter", "3", "--out", "{tmp}/trace.csv"],
+    ],
+)
+def test_text_output_is_one_line_per_json_leaf(ex1_problem_file, tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--problem", ex1_problem_file]
+    assert main(argv + ["--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    leaves = list(_leaves(payload))
+    assert [line.split(" = ")[0] for line in lines] == [key for key, _ in leaves]
+    for line, (key, value) in zip(lines, leaves):
+        text = line.partition(" = ")[2]
+        if isinstance(value, dict):  # a wire matrix, row by row
+            M = np.reshape(value["data"], (value["rows"], value["cols"]))
+            assert text == "[" + ", ".join(
+                "[" + ", ".join(f"{v:.17g}" for v in row) + "]" for row in M
+            ) + "]"
+        elif isinstance(value, float):
+            assert text == f"{value:.17g}"
+        elif isinstance(value, str):
+            assert text == value
+        else:
+            assert text == json.dumps(value)
 
 
 def test_stationary_json_round_trips(ex2_problem_file, capsys):
@@ -465,7 +515,7 @@ def test_gradcheck_detects_corrupted_gradient(
     assert (
         main(["gradcheck", "--problem", ex1_problem_file, "--trials", "2"]) == 5
     )
-    assert "FAIL" in capsys.readouterr().out
+    assert "pass = false" in capsys.readouterr().out
 
 
 def test_descend_cli_trace_and_report(ex2_problem_file, tmp_path, capsys):
@@ -481,8 +531,8 @@ def test_descend_cli_trace_and_report(ex2_problem_file, tmp_path, capsys):
     ]
     assert main(args) == 0
     report = capsys.readouterr().out
-    assert "status     = converged" in report
-    assert "distance to stationary candidate (canonical)" in report
+    assert "status = converged" in report
+    assert "distance_to_candidate.canonical = " in report
     with open(out) as fh:
         header = fh.readline().strip()
     assert header == "iter,J,grad_norm,step"
@@ -523,14 +573,36 @@ def test_descend_cli_without_candidate(tmp_path, capsys, rounded_k1):
     path = tmp_path / "x0.json"
     path.write_text(json.dumps(problem_dict(EX1, np.eye(2), rounded_k1)))
     assert main(["descend", "--problem", str(path), "--max-iter", "5"]) == 0
-    assert "stationary candidate unavailable" in capsys.readouterr().out
+    assert "candidate_error = " in capsys.readouterr().out
 
 
 def test_descend_cli_iteration_budget_flag(ex1_problem_file, capsys):
     assert (
         main(["descend", "--problem", ex1_problem_file, "--max-iter", "1"]) == 0
     )
-    assert "status     = max_iter" in capsys.readouterr().out
+    assert "status = max_iter" in capsys.readouterr().out
+
+
+def test_descend_cli_random_start_follows_the_seed(tmp_path, capsys):
+    # without seed_controller the start is random_stabilizing_init(--seed)
+    problem = bare_problem_file(tmp_path)
+
+    def run(seed, name):
+        out = tmp_path / name
+        argv = ["descend", "--problem", problem, "--seed", str(seed), "--json",
+                "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes(), capsys.readouterr().out
+
+    (csv_a, json_a), (csv_b, json_b) = run(3, "a.csv"), run(3, "b.csv")
+    assert (csv_a, json_a) == (csv_b, json_b)
+    assert json.loads(json_a)["status"] == "converged"
+    csv_c, _ = run(4, "c.csv")
+    assert csv_a.splitlines()[1] != csv_c.splitlines()[1]
+    loaded = dlqr.load_problem(problem)
+    init = dlqr.random_stabilizing_init(loaded.plant, 3)
+    first_J = float(csv_a.splitlines()[1].split(b",")[1])
+    assert first_J == dlqr.evaluate(loaded.plant, init, loaded.X).J
 
 
 def bare_problem_file(tmp_path):
@@ -589,14 +661,14 @@ def test_gradcheck_rejects_negative_trials(ex1_problem_file, capsys):
     assert main(["gradcheck", "--problem", ex1_problem_file, "--trials", "-3"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "dlqr: input error: --trials must not be negative\n"
-    assert "PASS" not in captured.out
+    assert "pass = " not in captured.out
 
 
 def test_gradcheck_rejects_an_empty_controller_list(tmp_path, capsys):
     assert main(["gradcheck", "--problem", bare_problem_file(tmp_path), "--trials", "0"]) == 3
     captured = capsys.readouterr()
     assert "no controller to check" in captured.err
-    assert "PASS" not in captured.out
+    assert "pass = " not in captured.out
 
 
 def test_gradcheck_fails_on_a_nan_discrepancy(ex1_problem_file, capsys, monkeypatch):
@@ -609,8 +681,8 @@ def test_gradcheck_fails_on_a_nan_discrepancy(ex1_problem_file, capsys, monkeypa
     monkeypatch.setattr(cli, "analytic_gradient", nan_gradient)
     assert main(["gradcheck", "--problem", ex1_problem_file, "--trials", "1"]) == 5
     out = capsys.readouterr().out
-    assert "max relative discrepancy = nan" in out
-    assert out.endswith("FAIL\n")
+    assert "max_rel_err = nan" in out
+    assert out.endswith("pass = false\n")
 
 
 @pytest.mark.parametrize(

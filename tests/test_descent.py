@@ -50,6 +50,22 @@ def test_descend_exhausts_iteration_budget(ex1_plant, rounded_k1, cross_X):
     assert trace.iterations == 1
 
 
+def test_descend_budget_ending_on_the_converging_step_converges(
+    ex1_plant, rounded_k1, cross_X
+):
+    # the stop rule is judged on every accepted step, the last one of the
+    # budget too, with the gradient norm that step reports
+    full = dlqr.descend(ex1_plant, cross_X, rounded_k1)
+    assert full.status == dlqr.CONVERGED
+    exact = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=full.iterations)
+    assert exact.status == dlqr.CONVERGED
+    assert exact.final_grad_norm == full.final_grad_norm <= descent_mod.GRAD_TOL
+    assert [s.J for s in exact.steps] == [s.J for s in full.steps]
+    short = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=full.iterations - 1)
+    assert short.status == dlqr.MAX_ITER
+    assert short.final_grad_norm > descent_mod.GRAD_TOL
+
+
 def test_descend_rejects_nonstabilizing_init(ex1_plant, cross_X):
     with pytest.raises(NotStabilizing):
         dlqr.descend(ex1_plant, cross_X, Controller(A_K=0.0, B_K=0.0, C_K=0.0))
