@@ -354,7 +354,7 @@ def _candidate_distance(plant, X, final):
 
 
 def cmd_descend(args):
-    """Run gradient descent, write the per-iteration CSV, report the end."""
+    """Run the descent, write the per-iteration CSV, report the end."""
     problem = load_problem(args.problem)
     plant = problem.plant
     if problem.seed_controller is not None:
@@ -372,6 +372,7 @@ def cmd_descend(args):
     result = {
         "status": trace.status,
         "iterations": trace.iterations,
+        "gauss_newton_iterations": trace.gauss_newton_iterations,
         "canonicalizations": trace.canonicalizations,
         "evaluations": trace.evaluations,
         "backtracks": trace.backtracks,
@@ -455,7 +456,9 @@ def _build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("descend", help="stability-safeguarded gradient descent")
+    p = sub.add_parser(
+        "descend", help="stability-safeguarded Gauss-Newton, then gradient, descent"
+    )
     common(p)
     p.add_argument(
         "--seed",

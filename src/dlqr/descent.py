@@ -1,29 +1,47 @@
-"""Stability-safeguarded gradient descent over (A_K, B_K, C_K).
+"""Stability-safeguarded descent over (A_K, B_K, C_K): Gauss-Newton steps,
+then gradient steps.
 
-Plain gradient descent with backtracking line search on the stacked
-controller parameters. A trial step outside the stabilizing set (where the
-cost is infinite) is rejected by its evaluation, which raises after the
-spectral check and before any Lyapunov solve; acceptance additionally
-requires Armijo decrease.
-The trial step is the Barzilai-Borwein (BB1) quotient from the previous
-accepted step, which keeps progress alive in the ill-conditioned valley
-around the stationary point where fixed small steps stall.
+Both phases share one backtracking line search on the stacked controller
+parameters. A trial step outside the stabilizing set (where the cost is
+infinite) is rejected by its evaluation, which raises after the spectral
+check and before any Lyapunov solve; acceptance additionally requires
+Armijo decrease on the slope of the search direction. The phases differ
+only in that direction, its first trial step and its slope.
+
+The Gauss-Newton phase preconditions the gradient blockwise with blocks
+the cost report already holds (_gauss_newton_direction), so each step
+needs no Lyapunov solve beyond its evaluations; it tries the unit step
+first. This
+is the Gauss-Newton step of Fazel et al. (2018, arXiv 1801.05039), whose
+unit step is Hewer's iteration for state feedback (Bu, Mesbahi, Fazel &
+Mesbahi 2019, arXiv 1907.08921). It reaches the stationary cost to
+rounding, but its gradient norm can stall well above GRAD_TOL. The phase
+therefore hands over, once, to the gradient phase when its predicted
+decrease g^T d falls within J's error, max(J_error, NOISE_SLACK (1 + |J|)),
+when a preconditioning block is singular, or when its line search finds
+no step. The gradient phase steps along the
+raw gradient with the Barzilai-Borwein (BB1) quotient of the previous
+accepted step as trial step, which keeps progress alive in the
+ill-conditioned valley around the stationary point, and polishes the
+gradient down to GRAD_TOL. On the six scalar-descent starts (Examples 1
+and 2, seeds 0-2) the two phases take 178 iterations and 271 evaluations
+in total; gradient steps alone took 581 and 1198.
 
 The worst of that valley runs along the similarity orbit, where the cost
 changes only through the controller's coordinates and the orbit minimum
 has a closed form (optimal_transform). After every CANON_EVERY-th
-accepted step the descent therefore moves the accepted candidate to its
-optimal transform, an orbit jump, and keeps the jump only if its cost is
-no higher; the jump belongs to that step, so the Armijo and monotone-cost
-invariants still hold. The value matrix P of the jumped controller is a
-congruence of the candidate's, but the state correlation Sigma is not,
-because X stays fixed while the coordinates change; the jumped controller
-is therefore evaluated once more, which also gives its gradient. A jump
-resets the Barzilai-Borwein memory, whose quotient would span the change
-of coordinates, and the next trial step is the last accepted one. The
-jump is skipped, keeping the candidate, when the transform does not exist
-(X12 or P12 singular, an unobservable candidate) or the jumped controller
-fails its certificates.
+accepted step, in either phase, the descent therefore moves the accepted
+candidate to its optimal transform, an orbit jump, and keeps the jump
+only if its cost is no higher; the jump belongs to that step, so the
+Armijo and monotone-cost invariants still hold. The value matrix P of the
+jumped controller is a congruence of the candidate's, but the state
+correlation Sigma is not, because X stays fixed while the coordinates
+change; the jumped controller is therefore evaluated once more, which
+also gives its gradient. A jump resets the Barzilai-Borwein memory, whose
+quotient would span the change of coordinates, and the next gradient
+trial step is the last accepted one. The jump is skipped, keeping the
+candidate, when the transform does not exist (X12 or P12 singular, an
+unobservable candidate) or the jumped controller fails its certificates.
 
 The iteration budget is the one setting of the descent; the line search
 and the stop rule are module constants, read at call time. The solves
@@ -44,7 +62,7 @@ from .errors import (
     OptimalTransformNotFound,
     SolverDiverged,
 )
-from .gradient import analytic_gradient
+from .gradient import GradientTriple, analytic_gradient
 from .matops import solve_dare_control, solve_dare_filter
 from .model import (
     as_second_moment,
@@ -60,12 +78,17 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 STABILITY_BOUNDARY = "stability_boundary"
 
+# Phases of the descent, in the order it runs them.
+GAUSS_NEWTON = "gauss_newton"
+GRADIENT = "gradient"
+
 # Default iteration budget of descend and of `dlqr descend --max-iter`: far
 # above what a scalar example takes, so a default run ends on the stop rule.
 ITERATION_BUDGET = 100_000
 
-# First trial step, before a Barzilai-Borwein quotient exists: a short move
-# keeps the first trials near the stabilizing start.
+# First trial step of the gradient phase, before a Barzilai-Borwein
+# quotient exists: a short move keeps the first trials near the point the
+# Gauss-Newton phase handed over.
 STEP0 = 1e-2
 
 # Halving loses at most half of an acceptable step per rejected trial, and
@@ -86,12 +109,14 @@ GRAD_TOL = 1e-8
 # boundary (or once J sits at its floating-point floor).
 MAX_BACKTRACKS = 120
 
-# Accepted steps between orbit jumps. On seeds 3-9 of both scalar examples
-# a cadence of 5, 10 or 20 took 1329, 1400 or 1745 iterations in total,
-# against 13117 without jumps; on fourteen random 2- and 3-state plants
-# under a capped iteration budget, 5 took the fewest evaluations in total.
-# A jump at every step keeps resetting the Barzilai-Borwein memory and
-# stalls.
+# Accepted steps between orbit jumps, counted over both phases. Cadences
+# of 1, 2, 3, 5, 10 and 20 took 637, 584, 478, 535, 1031 and 1795
+# evaluations in total on seeds 3-9 of both scalar examples, and 13279
+# without jumps. On fourteen random 2- and 3-state plants
+# (tests/oracles.py, s = 0-6, seed-0 starts) they took 925, 872, 752, 781,
+# 1196 and 1775 evaluations to reach the stationary cost; without jumps
+# one plant of the fourteen reached it in 300 iterations. 3 and 5 differ
+# by less than one seed's spread, and 5 is kept.
 CANON_EVERY = 5
 
 # Clip range for the Barzilai-Borwein trial step.
@@ -115,20 +140,23 @@ INIT_NOISE_SCALE = 0.5
 class DescentStep:
     """One accepted iterate: controller, its cost, its gradient norm, the
     step size that produced it (0.0 for the initial point), the J_error of
-    the report it was accepted on, and whether the line-search candidate was
-    then moved to its optimal transform.
+    the report it was accepted on, the phase whose line search found it
+    ("gauss_newton" or "gradient"; "gauss_newton", where descent starts,
+    for the initial point), and whether the line-search candidate was then
+    moved to its optimal transform.
 
     The counters explain the work behind the step: evaluations is the
-    number of evaluate calls it took (line-search trials, the orbit jump;
-    1 for the initial point), backtracks the number of times the trial step
-    was shrunk, and rejected_unstable how many of those trials left the
-    stabilizing set."""
+    number of evaluate calls it took (line-search trials, a Gauss-Newton
+    search that found no step before it, the orbit jump; 1 for the initial
+    point), backtracks the number of times the trial step was shrunk, and
+    rejected_unstable how many of those trials left the stabilizing set."""
 
     controller: object
     J: float
     grad_norm: float
     step: float
     J_error: float
+    phase: str
     canonicalized: bool = False
     backtracks: int = 0
     rejected_unstable: int = 0
@@ -162,6 +190,11 @@ class DescentTrace:
     @property
     def iterations(self):
         return len(self.steps) - 1
+
+    @property
+    def gauss_newton_iterations(self):
+        """Accepted steps of the Gauss-Newton phase, which come first."""
+        return sum(step.phase == GAUSS_NEWTON for step in self.steps[1:])
 
     @property
     def canonicalizations(self):
@@ -206,8 +239,59 @@ def _orbit_jump(plant, cand, X, cand_report):
     return (jumped, report), 1
 
 
+def _gauss_newton_direction(plant, report, grad):
+    """The gradient preconditioned blockwise by the blocks of the report,
+    flattened as _grad_vector, or None when a block is singular:
+    [dA_K dB_K] -> (2 P22)^-1 [dA_K dB_K] Cov^-1, where
+    Cov = [[Sigma22, Sigma12^T C^T], [C Sigma12, C Sigma11 C^T]] is the
+    second moment of the controller's state and input (xi, y), and
+    dC_K -> (2 (R + B^T P11 B))^-1 dC_K Sigma22^-1.
+
+    With (P, Sigma) held fixed, J is quadratic in each block with exactly
+    these curvatures, so the unit step minimizes that model in each block;
+    for C_K it is Hewer's policy-iteration update."""
+    C, n = plant.C, plant.n
+    S11, S12, S22 = report.Sigma11, report.Sigma12, report.Sigma22
+    CS12 = C @ S12
+    cov = np.block([[S22, CS12.T], [CS12, C @ S11 @ C.T]])
+    H = plant.R + plant.B.T @ report.P11 @ plant.B
+    try:
+        dAB = np.linalg.solve(report.P22, np.hstack([grad.dA_K, grad.dB_K]))
+        dAB = np.linalg.solve(cov, dAB.T).T
+        dC = np.linalg.solve(S22, np.linalg.solve(H, grad.dC_K).T).T
+    except np.linalg.LinAlgError:
+        return None
+    return 0.5 * _grad_vector(GradientTriple(dAB[:, :n], dAB[:, n:], dC))
+
+
+def _line_search(plant, X, controller, theta, J, d, t, slope):
+    """Backtracking search along -d from theta, starting at step t and
+    halving it until a trial evaluates and meets Armijo decrease on slope.
+    Returns the accepted (t, vector, controller, report) or None when
+    MAX_BACKTRACKS trials fail, and the number of trials and of trials that
+    left the stabilizing set."""
+    slack = NOISE_SLACK * (1.0 + abs(J))
+    rejected_unstable = 0
+    for trials in range(1, MAX_BACKTRACKS + 1):
+        cand_vec = theta - t * d
+        cand = controller_from_vector(controller, cand_vec)
+        try:
+            cand_report = evaluate(plant, cand, X)
+        except NotStabilizing:
+            rejected_unstable += 1
+        except SolverDiverged:
+            # a stabilizing trial whose certificates fail
+            pass
+        else:
+            if cand_report.J <= J - ARMIJO_C * t * slope + slack:
+                return (t, cand_vec, cand, cand_report), trials, rejected_unstable
+        t *= BACKTRACK_FACTOR
+    return None, MAX_BACKTRACKS, rejected_unstable
+
+
 def descend(plant, X, init, max_iter=ITERATION_BUDGET):
-    """Gradient descent from a stabilizing initial controller.
+    """Descent from a stabilizing initial controller: Gauss-Newton steps,
+    then gradient steps.
 
     Parameters
     ----------
@@ -249,12 +333,14 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
             grad_norm=gnorm,
             step=0.0,
             J_error=report.J_error,
+            phase=GAUSS_NEWTON,
             evaluations=1,
         )
     ]
+    phase = GAUSS_NEWTON
     prev_theta = prev_g = None
-    # trial step without a usable BB quotient: STEP0 at the start, the last
-    # accepted step after an orbit jump
+    # trial step of the gradient phase without a usable BB quotient: STEP0
+    # where the phase starts, the last accepted step after an orbit jump
     t_default = STEP0
     # the stop rule is judged on the start and on every accepted step, with
     # the gradient norm each step reports
@@ -262,36 +348,38 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
     k = 0
     while status == MAX_ITER and k < max_iter:
         k += 1
-        t = t_default
-        if prev_theta is not None:
-            s = theta - prev_theta
-            y = g_vec - prev_g
-            sy = float(s @ y)
-            if sy > 0.0:
-                t = float(s @ s) / sy
-            t = min(max(t, BB_STEP_MIN), BB_STEP_MAX)
-        slack = NOISE_SLACK * (1.0 + abs(J))
-        accepted = False
-        rejected_unstable = 0
-        for backtracks in range(MAX_BACKTRACKS):
-            cand_vec = theta - t * g_vec
-            cand = controller_from_vector(controller, cand_vec)
-            try:
-                cand_report = evaluate(plant, cand, X)
-            except NotStabilizing:
-                rejected_unstable += 1
-            except SolverDiverged:
-                # a stabilizing trial whose certificates fail
-                pass
-            else:
-                if cand_report.J <= J - ARMIJO_C * t * gnorm**2 + slack:
-                    accepted = True
-                    break
-            t *= BACKTRACK_FACTOR
-        if not accepted:
+        found, evaluations, rejected_unstable = None, 0, 0
+        if phase == GAUSS_NEWTON:
+            d = _gauss_newton_direction(plant, report, grad)
+            slope = np.nan if d is None else float(g_vec @ d)
+            # searched only while the predicted decrease exceeds J's error
+            if max(report.J_error, NOISE_SLACK * (1.0 + abs(J))) < slope < np.inf:
+                found, evaluations, rejected_unstable = _line_search(
+                    plant, X, controller, theta, J, d, 1.0, slope
+                )
+            if found is None:
+                # hand over: the gradient phase takes this step, without
+                # BB memory
+                phase, prev_theta, t_default = GRADIENT, None, STEP0
+        if phase == GRADIENT:
+            t = t_default
+            if prev_theta is not None:
+                s = theta - prev_theta
+                y = g_vec - prev_g
+                sy = float(s @ y)
+                if sy > 0.0:
+                    t = float(s @ s) / sy
+                t = min(max(t, BB_STEP_MIN), BB_STEP_MAX)
+            found, trials, unstable = _line_search(
+                plant, X, controller, theta, J, g_vec, t, gnorm**2
+            )
+            evaluations += trials
+            rejected_unstable += unstable
+        if found is None:
             status = STABILITY_BOUNDARY
             break
-        evaluations = backtracks + 1
+        t, cand_vec, cand, cand_report = found
+        backtracks = evaluations - 1
         jump = None
         if k % CANON_EVERY == 0:
             jump, jump_evaluations = _orbit_jump(plant, cand, X, cand_report)
@@ -303,8 +391,8 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
             cand, cand_report = jump
             cand_vec = controller_to_vector(cand)
             prev_theta, t_default = None, t
-        controller, J, theta = cand, cand_report.J, cand_vec
-        grad = analytic_gradient(plant, controller, X, report=cand_report)
+        controller, report, J, theta = cand, cand_report, cand_report.J, cand_vec
+        grad = analytic_gradient(plant, controller, X, report=report)
         g_vec, gnorm = _grad_vector(grad), grad.norm
         steps.append(
             DescentStep(
@@ -312,7 +400,8 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
                 J=J,
                 grad_norm=gnorm,
                 step=t,
-                J_error=cand_report.J_error,
+                J_error=report.J_error,
+                phase=phase,
                 canonicalized=jump is not None,
                 backtracks=backtracks,
                 rejected_unstable=rejected_unstable,

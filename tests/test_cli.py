@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import re
 import warnings
 
 import numpy as np
@@ -532,6 +533,7 @@ def test_descend_cli_trace_and_report(ex2_problem_file, tmp_path, capsys):
     assert main(args) == 0
     report = capsys.readouterr().out
     assert "status = converged" in report
+    assert re.search(r"^gauss_newton_iterations = [1-9][0-9]*$", report, re.M)
     assert "distance_to_candidate.canonical = " in report
     with open(out) as fh:
         header = fh.readline().strip()
@@ -555,6 +557,7 @@ def test_descend_cli_json(ex1_problem_file, ex1_plant, cross_X, capsys):
     assert payload["distance_to_candidate"]["canonical"] <= 1e-4
     assert payload["J"] == pytest.approx(11.914324683979915, abs=1e-6)
     assert 0 < payload["canonicalizations"] <= payload["iterations"]
+    assert 0 < payload["gauss_newton_iterations"] < payload["iterations"]
     controller = dlqr.controller_from_wire(payload["controller"], "controller")
     assert dlqr.is_stabilizing(ex1_plant, controller)
     # J_error is the final accepted report's, and the gap to the closed-form

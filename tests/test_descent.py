@@ -8,7 +8,7 @@ import dlqr
 from dlqr import Controller, InitFailed, NotStabilizing, SolverDiverged
 from dlqr import descent as descent_mod
 
-from oracles import random_plant_arrays
+from oracles import random_pd_second_moment, random_plant_arrays
 
 
 def test_config_validation(ex1_plant, rounded_k1, cross_X):
@@ -71,6 +71,17 @@ def test_descend_rejects_nonstabilizing_init(ex1_plant, cross_X):
         dlqr.descend(ex1_plant, cross_X, Controller(A_K=0.0, B_K=0.0, C_K=0.0))
 
 
+def _armijo_slope(plant, X, step, prev):
+    """The slope that step's line search judged Armijo decrease on, taken
+    at the previous accepted controller."""
+    if step.phase == descent_mod.GRADIENT:
+        return prev.grad_norm**2
+    report = dlqr.evaluate(plant, prev.controller, X)
+    grad = dlqr.analytic_gradient(plant, prev.controller, X, report=report)
+    d = descent_mod._gauss_newton_direction(plant, report, grad)
+    return float(descent_mod._grad_vector(grad) @ d)
+
+
 def test_descend_trace_invariants(ex1_plant, cross_X):
     init = dlqr.random_stabilizing_init(ex1_plant, 0)
     trace = dlqr.descend(ex1_plant, cross_X, init)
@@ -78,30 +89,40 @@ def test_descend_trace_invariants(ex1_plant, cross_X):
     assert trace.final_grad_norm <= 1e-8
     assert not trace.steps[0].canonicalized
     assert trace.canonicalizations > 0
+    # the Gauss-Newton phase comes first and hands over once
+    phases = [s.phase for s in trace.steps[1:]]
+    assert 0 < trace.gauss_newton_iterations < trace.iterations
+    order = [descent_mod.GAUSS_NEWTON, descent_mod.GRADIENT]
+    assert phases == sorted(phases, key=order.index)
     slack = 64.0 * np.finfo(float).eps
     for prev, cur in zip(trace.steps, trace.steps[1:]):
         # every accepted step, orbit jumps included, is stabilizing, takes a
-        # positive step, and satisfies Armijo decrease up to the
-        # floating-point slack
+        # positive step, and satisfies Armijo decrease on its own slope up
+        # to the floating-point slack
         assert cur.step > 0.0
         assert dlqr.is_stabilizing(ex1_plant, cur.controller)
-        bound = prev.J - 1e-4 * cur.step * prev.grad_norm**2 + slack * (1.0 + abs(prev.J))
+        slope = _armijo_slope(ex1_plant, cross_X, cur, prev)
+        assert slope > 0.0
+        bound = prev.J - 1e-4 * cur.step * slope + slack * (1.0 + abs(prev.J))
         assert cur.J <= bound
+        if cur.phase == descent_mod.GAUSS_NEWTON:
+            # the unit step, halved on each backtrack
+            assert cur.step == 0.5**cur.backtracks
         if cur.canonicalized:
             # a jumped iterate sits at the optimum of its own orbit
             T = dlqr.optimal_transform(ex1_plant, cur.controller, cross_X)
             assert_allclose(T.T, np.eye(1), atol=1e-9)
     for cur, nxt in zip(trace.steps[1:], trace.steps[2:]):
-        if cur.canonicalized:
+        if cur.canonicalized and cur.phase == descent_mod.GRADIENT:
             # no BB quotient spans the jump: the next line search starts
             # from the last accepted step and only halves it
             ratio = np.frexp(nxt.step / cur.step)
             assert ratio[0] == 0.5 and ratio[1] <= 1
 
 
-# Largest iteration count over seeds 0-9 was 140 (Example 1) and 124
-# (Example 2); the budget leaves about 2x margin.
-ITERATION_BUDGET = 300
+# Largest iteration count over seeds 0-9 was 38, on Example 1 and on
+# Example 2; the budget leaves about 2x margin.
+ITERATION_BUDGET = 80
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -112,6 +133,56 @@ def test_descend_converges_within_budget(ex1_plant, ex2_plant, cross_X, seed):
         trace = dlqr.descend(plant, cross_X, init, max_iter=ITERATION_BUDGET)
         assert trace.status == dlqr.CONVERGED
         assert abs(trace.final_J - cert.J) <= 1e-6
+
+
+def test_gauss_newton_unit_step_minimizes_each_block_model():
+    # with (P, Sigma) held fixed the gradient is affine in each block, and
+    # the unit Gauss-Newton step of a block sends that block's gradient,
+    # formed on the old report, to zero
+    rng = np.random.default_rng(5)
+    plant = dlqr.Plant(**random_plant_arrays(rng, 3, 2, 2))
+    X = random_pd_second_moment(rng, 3)
+    K = dlqr.random_stabilizing_init(plant, 0)
+    report = dlqr.evaluate(plant, K, X)
+    grad = dlqr.analytic_gradient(plant, K, X, report=report)
+    d = descent_mod._gauss_newton_direction(plant, report, grad)
+    step = dlqr.controller_from_vector(K, dlqr.controller_to_vector(K) - d)
+    moved_AB = Controller(A_K=step.A_K, B_K=step.B_K, C_K=K.C_K)
+    moved_C = Controller(A_K=K.A_K, B_K=K.B_K, C_K=step.C_K)
+    model_AB = dlqr.analytic_gradient(plant, moved_AB, X, report=report)
+    model_C = dlqr.analytic_gradient(plant, moved_C, X, report=report)
+    scale = grad.norm
+    assert np.abs(model_AB.dA_K).max() <= 1e-10 * scale
+    assert np.abs(model_AB.dB_K).max() <= 1e-10 * scale
+    assert np.abs(model_C.dC_K).max() <= 1e-10 * scale
+
+
+def _markov_parameters(controller, count):
+    """C_K A_K^k B_K for k < count, stacked: the same on every controller
+    of one similarity orbit."""
+    out, power = [], controller.B_K
+    for _ in range(count):
+        out.append(controller.C_K @ power)
+        power = controller.A_K @ power
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("s", range(4))
+def test_descend_reaches_the_unique_stationary_point(s, n):
+    # the observable stationary point is unique, so a short descent from a
+    # random start must end at its cost, to J's error, and on its
+    # similarity orbit
+    rng = np.random.default_rng((s, n))
+    plant = dlqr.Plant(**random_plant_arrays(rng, n, 1, 1))
+    X = random_pd_second_moment(rng, n)
+    cert = dlqr.stationary_candidate(plant, X)
+    init = dlqr.random_stabilizing_init(plant, 0)
+    trace = dlqr.descend(plant, X, init, max_iter=60)
+    assert abs(trace.final_J - cert.J) <= trace.final_J_error + 1e-8 * (1.0 + cert.J)
+    M_star = _markov_parameters(cert.K_star, 2 * n)
+    M = _markov_parameters(trace.final_controller, 2 * n)
+    assert np.linalg.norm(M - M_star) <= 1e-4 * (1.0 + np.linalg.norm(M_star))
 
 
 def test_descend_without_cross_block_never_jumps(ex1_plant, rounded_k1, monkeypatch):
@@ -148,7 +219,7 @@ def test_descend_backtracks_on_failed_trial_evaluation(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
     # call 1 evaluates the initial point, call 2 the first trial, which
-    # would otherwise be accepted at STEP0
+    # would otherwise be accepted at the unit Gauss-Newton step
     calls = []
     real = descent_mod.evaluate
 
@@ -161,7 +232,36 @@ def test_descend_backtracks_on_failed_trial_evaluation(
     monkeypatch.setattr(descent_mod, "evaluate", fail_first_trial)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
     assert trace.status == dlqr.CONVERGED
-    assert trace.steps[1].step == descent_mod.STEP0 / 2
+    assert trace.steps[1].phase == descent_mod.GAUSS_NEWTON
+    assert trace.steps[1].step == 0.5
+    assert trace.steps[1].backtracks == 1
+
+
+def test_descend_hands_over_when_the_gauss_newton_search_finds_no_step(
+    ex1_plant, rounded_k1, cross_X, monkeypatch
+):
+    # every trial of the first Gauss-Newton search fails, so that search
+    # finds no step; the gradient phase takes the step instead, at STEP0,
+    # and keeps the rest of the descent
+    calls = []
+    real = descent_mod.evaluate
+
+    def fail_first_search(*args, **kwargs):
+        calls.append(args[1])
+        if 2 <= len(calls) <= 1 + descent_mod.MAX_BACKTRACKS:
+            raise SolverDiverged("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(descent_mod, "MAX_BACKTRACKS", 8)
+    monkeypatch.setattr(descent_mod, "evaluate", fail_first_search)
+    trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=10)
+    assert trace.gauss_newton_iterations == 0
+    assert all(s.phase == descent_mod.GRADIENT for s in trace.steps[1:])
+    first = trace.steps[1]
+    assert first.step == descent_mod.STEP0
+    # the failed search's trials count towards the step that followed it
+    assert (first.evaluations, first.backtracks) == (9, 8)
+    assert trace.evaluations == len(calls)
 
 
 def test_descend_reaches_stationary_cost(ex1_plant, ex2_plant, cross_X):
@@ -182,12 +282,32 @@ def test_descend_deterministic(ex1_plant, cross_X):
     assert [s.step for s in first.steps] == [s.step for s in second.steps]
 
 
+def test_descend_hands_over_at_a_singular_block(ex2_plant, cross_X):
+    # with C_K = 0 the controller's state costs nothing, so P22 = 0: the
+    # Gauss-Newton direction does not exist and the gradient phase takes
+    # every step
+    init = Controller(A_K=0.5, B_K=1.0, C_K=0.0)
+    report = dlqr.evaluate(ex2_plant, init, cross_X)
+    assert not report.P22.any()
+    grad = dlqr.analytic_gradient(ex2_plant, init, cross_X, report=report)
+    assert descent_mod._gauss_newton_direction(ex2_plant, report, grad) is None
+    trace = dlqr.descend(ex2_plant, cross_X, init, max_iter=5)
+    assert trace.iterations == 5
+    assert trace.gauss_newton_iterations == 0
+    first = trace.steps[1]
+    assert first.step == descent_mod.STEP0 * 0.5**first.backtracks
+
+
 def test_descend_reports_stability_boundary(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
-    # with a single enormous trial step and no backtracking budget, the
-    # line search cannot find a stabilizing candidate and must stop at the
-    # boundary rather than loop or step outside
+    # with a single enormous trial step in each phase and no backtracking
+    # budget, neither line search can find a stabilizing candidate, and the
+    # descent must stop at the boundary rather than loop or step outside
+    real = descent_mod._gauss_newton_direction
+    monkeypatch.setattr(
+        descent_mod, "_gauss_newton_direction", lambda *a: 1e8 * real(*a)
+    )
     monkeypatch.setattr(descent_mod, "MAX_BACKTRACKS", 1)
     monkeypatch.setattr(descent_mod, "STEP0", 1e8)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
@@ -322,6 +442,7 @@ def test_descend_cli_json_reports_counter_totals(ex1_problem_file, tmp_path, cap
     problem = dlqr.load_problem(ex1_problem_file)
     trace = dlqr.descend(problem.plant, problem.X, problem.seed_controller)
     assert payload["iterations"] == trace.iterations
+    assert payload["gauss_newton_iterations"] == trace.gauss_newton_iterations
     assert payload["evaluations"] == trace.evaluations > trace.iterations
     assert payload["backtracks"] == trace.backtracks
     assert payload["rejected_unstable"] == trace.rejected_unstable

@@ -141,7 +141,10 @@ def test_unstable_descent_trial_makes_no_lyapunov_solve(
 
     monkeypatch.setattr(descent_mod, "evaluate", recording)
     # a first trial step far outside the stabilizing set
-    monkeypatch.setattr(descent_mod, "STEP0", 1e3)
+    real = descent_mod._gauss_newton_direction
+    monkeypatch.setattr(
+        descent_mod, "_gauss_newton_direction", lambda *a: 1e3 * real(*a)
+    )
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=3)
     unstable = [made for raised, made in trials if raised]
     assert unstable and all(made == 0 for made in unstable)
