@@ -204,10 +204,15 @@ def _parse_range(spec, kind):
     return np.linspace(lo, hi, steps)
 
 
-def _csv_row(axis1, axis2, J, stabilizing, rho):
-    a2 = _fmt(axis2) if axis2 is not None else ""
-    jtxt = _fmt(J) if J is not None else ""
-    return f"{_fmt(axis1)},{a2},{jtxt},{int(stabilizing)},{_fmt(rho)}"
+def _landscape_lines(axis1, axis2, J, rho):
+    """CSV lines of a sweep from lists of its cells' floats: axis2 is None
+    for one axis, and a cell's J is None where it is not stabilizing."""
+    a2 = [""] * len(axis1) if axis2 is None else [f"{v:.17g}" for v in axis2]
+    # the J and stabilizing fields: an empty J and 0 where J is None
+    costs = [",0" if j is None else f"{j:.17g},1" for j in J]
+    lines = ["axis1,axis2,J,stabilizing,rho"]
+    lines += [f"{a:.17g},{b},{c},{r:.17g}" for a, b, c, r in zip(axis1, a2, costs, rho)]
+    return lines
 
 
 def _write_lines(out_csv, lines):
@@ -224,7 +229,6 @@ def cmd_landscape(args):
     problem = load_problem(args.problem)
     plant = problem.plant
     base = _resolve_controller(problem, args.controller)
-    lines = ["axis1,axis2,J,stabilizing,rho"]
 
     if args.orbit is not None:
         if args.sweep or args.fix:
@@ -239,7 +243,7 @@ def cmd_landscape(args):
         try:
             report = evaluate(plant, base, problem.X)
         except NotStabilizing as exc:
-            J, stabilizing, rho = [None] * len(ts), False, exc.rho
+            J, rho = [None] * len(ts), exc.rho
         else:
             # H = (t I)^-1 for every t at once, solved as Transform.from_matrix
             # solves each inverse
@@ -247,10 +251,8 @@ def cmd_landscape(args):
             H = np.linalg.solve(
                 ts[:, None, None] * eye, np.broadcast_to(eye, (len(ts),) + eye.shape)
             )
-            J, stabilizing, rho = g_surrogate(report, H), True, report.rho
-        for t, cost in zip(ts, J):
-            lines.append(_csv_row(t, None, cost, stabilizing, rho))
-        _write_lines(args.out, lines)
+            J, rho = g_surrogate(report, H).tolist(), report.rho
+        _write_lines(args.out, _landscape_lines(ts.tolist(), None, J, [rho] * len(ts)))
         return 0
 
     if not args.sweep:
@@ -284,14 +286,14 @@ def cmd_landscape(args):
     for (name, i, j), values in zip(targets, [v for _, v in fixed] + grid):
         stacks[name][:, i, j] = values
     J, rho, errors = _stacked_costs(plant, _Gains(**stacks), problem.X.X)
-    for k, values in enumerate(zip(*grid)):
-        exc = errors.get(k)
-        if exc is not None and not isinstance(exc, NotStabilizing):
-            raise exc
-        axis2 = float(values[1]) if len(values) == 2 else None
-        cost = J[k] if exc is None else None
-        lines.append(_csv_row(float(values[0]), axis2, cost, exc is None, rho[k]))
-    _write_lines(args.out, lines)
+    failed = [k for k, exc in errors.items() if not isinstance(exc, NotStabilizing)]
+    if failed:
+        raise errors[min(failed)]  # the first failing cell in row order
+    J = J.tolist()
+    for k in errors:
+        J[k] = None
+    axis2 = grid[1].tolist() if len(grid) == 2 else None
+    _write_lines(args.out, _landscape_lines(grid[0].tolist(), axis2, J, rho.tolist()))
     return 0
 
 

@@ -14,9 +14,11 @@ eigvals, failing a slice that overflows or is not stable. The certified
 pair solves the survivors' Lyapunov pairs in one stacked call, P on A_cl
 and Sigma on A_cl^T side by side, and checks every certificate and PSD
 floor slice by slice. evaluate composes the two on its one controller;
-the landscape sweeps compose them on chunks of many slices. evaluate's
-report carries rho, the PSD margins, J_error and the residual matrices
-r_P and r_Sigma, so callers read them instead of recomputing them."""
+a landscape sweep composes them on chunks of its cells, each chunk as
+many slices as fit one byte budget, so a sweep of up to 256 cells of a
+first-order plant is one pass. evaluate's report carries rho, the PSD
+margins, J_error and the residual matrices r_P and r_Sigma, so callers
+read them instead of recomputing them."""
 
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -37,27 +39,29 @@ from .model import as_second_moment, assemble
 
 # Chunks of a many-slice pass hold at most _STACK_BYTES of the largest
 # per-slice array of their Lyapunov route (matops._route_bytes), counted
-# once for each of a slice's solves, and at most _STACK_SLICES slices. The
-# budget was measured on an earlier gradient check by central differences,
-# whose probes took two real solves each, on the 73 generated-certify
-# plants (seed 1, one BLAS thread, 2-core x86 machine): chunks of 32 KiB
-# took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved runs) and raised
-# traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46) and +1.05 MB,
-# 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s (0.40-0.51) and
-# +2.74 MB. The complex-step gradient's chunks of probes, which solve
-# nothing, keep the slices per chunk of a two-solve pass. On small loops
-# the other per-slice arrays outweigh the largest one: 101-slice chunks of
-# 2-state loops (scalar-landscape rows, 30 s runs) left peak memory 3.2%
-# above one-by-one evaluation, 32-slice chunks 1.7%.
+# once for each of a slice's solves: 256 slices of 2-state loops (n = 1),
+# 16 of 4-state loops, 113, 64 and 40 at n = 3, 4 and 5, and fewer than 32
+# from n = 6 on. The budget was measured on an earlier gradient check by
+# central differences, whose probes took two real solves each, on the 73
+# generated-certify plants (seed 1, one BLAS thread, 2-core x86 machine):
+# chunks of 32 KiB took 0.53 s (quartiles 0.51-0.57 s over 15 interleaved
+# runs) and raised traced peak memory by 0.66 MB, 64 KiB 0.42 s (0.41-0.46)
+# and +1.05 MB, 128 KiB 0.44 s (0.40-0.48) and +1.82 MB, 256 KiB 0.48 s
+# (0.40-0.51) and +2.74 MB. The complex-step gradient's chunks of probes,
+# which solve nothing, keep the slices per chunk of a two-solve pass. A
+# landscape row of up to 256 cells of a first-order plant is one pass:
+# after 40 rounds of the scalar-landscape operations in one process
+# (seed 2, medians of 6 alternating runs), peak memory read 40.46 MB,
+# against 40.50 MB with chunks capped at 32 slices, while a round took
+# 26% less time.
 _STACK_BYTES = 64 * 1024
-_STACK_SLICES = 32
 
 
 def _chunk_size(n):
     """Slices per chunk of a many-slice pass on a plant of order n: as many
     as fit _STACK_BYTES with one Lyapunov pair of 2n-state loops a slice,
-    at least one and at most _STACK_SLICES."""
-    return max(1, min(_STACK_SLICES, _STACK_BYTES // (2 * _route_bytes(2 * n))))
+    and at least one."""
+    return max(1, _STACK_BYTES // (2 * _route_bytes(2 * n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,10 +191,10 @@ def _screen(plant, gains):
 def _stacked_costs(plant, gains, X):
     """J, rho and the per-slice failures of N controllers, as arrays of N
     and a dict from slice index to the exception evaluate raises for that
-    controller; J of a failed slice is NaN. Each chunk of at most
-    _STACK_SLICES slices, whose largest per-slice arrays, one for each of
-    the two solves, fit _STACK_BYTES, is screened, and its slices that pass
-    get their certified pairs in one stacked call. Each slice's J is
+    controller; J of a failed slice is NaN. Each chunk of _chunk_size
+    slices, whose largest per-slice arrays, one for each of the two solves,
+    fit _STACK_BYTES, is screened, and its slices that pass get their
+    certified pairs in one stacked call. Each slice's J is
     bit-identical to evaluating it alone."""
     N = len(gains.A_K)
     size = _chunk_size(plant.n)

@@ -477,7 +477,7 @@ def is_controllable(A, B):
     A = _as_matrix(A, "A", square=True)
     B = _as_matrix(B, "B")
     _check_shape(B, "B", (A.shape[0], B.shape[1]))
-    return is_observable(B.T, A.T)
+    return _staircase(B.T, A.T, _sigma_max(A))
 
 
 def is_observable(C, A):
@@ -491,17 +491,38 @@ def is_observable(C, A):
     A = _as_matrix(A, "A", square=True)
     C = _as_matrix(C, "C")
     _check_shape(C, "C", (C.shape[0], A.shape[0]))
-    U, sv, _ = np.linalg.svd(C.T, full_matrices=False)
-    V = N = U[:, sv > SINGULAR_RTOL * sv[0]]
-    # sigma_max(A) from an SVD: a Frobenius norm overflows above about 1e154
-    tol = SINGULAR_RTOL * np.linalg.svd(A, compute_uv=False)[0]
+    return _staircase(C, A, _sigma_max(A))
+
+
+def _sigma_max(A):
+    # from an SVD: a Frobenius norm overflows above about 1e154
+    return float(np.linalg.svd(A, compute_uv=False)[0])
+
+
+def _staircase(C, A, a_max):
+    """is_observable's verdict on validated C and square A of agreeing
+    sizes, given a_max = sigma_max(A). Plant construction runs its three
+    staircases through here with one a_max."""
+    V = N = _block_basis(C.T)
+    tol = SINGULAR_RTOL * a_max
     while N.shape[1] and V.shape[1] < len(A):
         Y = A.T @ N
         # twice (Parlett 1980): once leaves an error of eps over the kept
         # sigma ratio, enough to keep spurious directions on defective pairs
         Y -= V @ (V.T @ Y)
         Y -= V @ (V.T @ Y)
-        U, sv, _ = np.linalg.svd(Y, full_matrices=False)
-        N = U[:, sv > tol]
+        N = _block_basis(Y, tol)
         V = np.hstack([V, N])
     return V.shape[1] == len(A)
+
+
+def _block_basis(Y, tol=None):
+    """Left singular vectors of Y whose singular values exceed tol, or
+    SINGULAR_RTOL times the largest if tol is None. A one-column Y has
+    one singular value, its 2-norm, so it is only normalized; math.hypot
+    neither overflows nor underflows where the squares would."""
+    if Y.shape[1] != 1:
+        U, sv, _ = np.linalg.svd(Y, full_matrices=False)
+        return U[:, sv > (SINGULAR_RTOL * sv[0] if tol is None else tol)]
+    norm = math.hypot(*Y[:, 0].tolist())
+    return Y / norm if norm > (SINGULAR_RTOL * norm if tol is None else tol) else Y[:, :0]

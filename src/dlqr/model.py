@@ -55,11 +55,14 @@ class Plant:
         _check_psd(R, "R", definite=True)
         if not matops.has_full_row_rank(C):
             raise AssumptionViolated("C must have full row rank")
-        if not matops.is_controllable(A, B):
+        # the three staircases of is_controllable and is_observable, on
+        # the validated arrays and with one sigma_max(A)
+        a_max = matops._sigma_max(A)
+        if not matops._staircase(B.T, A.T, a_max):
             raise AssumptionViolated("(A, B) must be controllable")
-        if not matops.is_observable(C, A):
+        if not matops._staircase(C, A, a_max):
             raise AssumptionViolated("(C, A) must be observable")
-        if not matops.is_observable(Q, A):
+        if not matops._staircase(Q, A, a_max):
             raise AssumptionViolated("(Q^{1/2}, A) must be observable")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)

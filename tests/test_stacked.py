@@ -116,9 +116,23 @@ def test_all_unstable_stack_makes_no_lyapunov_solve(monkeypatch):
 
 @pytest.mark.parametrize("n", [1, 4, 7])
 def test_results_do_not_depend_on_the_chunk_size(n, monkeypatch):
+    # 40 slices, more than the 32 that once capped every chunk
     plant, controller, X, rng = _instance(n, seed=1)
-    _, gains = _mixed_stack(plant, controller, rng, count=9)
+    _, gains = _mixed_stack(plant, controller, rng, count=40)
+    solved = []
+    original = cost_mod._solve_dlyap_certified
+
+    def recording(A, W):
+        solved.append(len(A))
+        return original(A, W)
+
+    monkeypatch.setattr(cost_mod, "_solve_dlyap_certified", recording)
     J, rho, errors = _stacked_costs(plant, gains, X)
+    monkeypatch.undo()
+    if n == 1:
+        # 2-state loops fit the byte budget 256 to a chunk: the 40 slices
+        # are one pass, with one solve over the stable ones
+        assert solved == [2 * (40 - len(errors))]
     grad = dlqr.finite_difference_gradient(plant, controller, X)
     # a budget below one slice's arrays: every chunk holds one slice
     monkeypatch.setattr(cost_mod, "_STACK_BYTES", 1)
