@@ -245,12 +245,8 @@ def cmd_landscape(args):
         except NotStabilizing as exc:
             J, rho = [None] * len(ts), exc.rho
         else:
-            # H = (t I)^-1 for every t at once, solved as Transform.from_matrix
-            # solves each inverse
-            eye = np.eye(plant.n)
-            H = np.linalg.solve(
-                ts[:, None, None] * eye, np.broadcast_to(eye, (len(ts),) + eye.shape)
-            )
+            # H = (t I)^-1 for every t at once
+            H = np.eye(plant.n) / ts[:, None, None]
             J, rho = g_surrogate(report, H).tolist(), report.rho
         _write_lines(args.out, _landscape_lines(ts.tolist(), None, J, [rho] * len(ts)))
         return 0
@@ -407,9 +403,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, controller=False):
+    def common(p, controller=False, result=True):
         p.add_argument("--problem", required=True, help="problem JSON file")
-        p.add_argument("--json", action="store_true", dest="as_json")
+        if result:
+            p.add_argument("--json", action="store_true", dest="as_json")
         if controller:
             p.add_argument(
                 "--controller",
@@ -424,7 +421,7 @@ def _build_parser():
     common(p)
 
     p = sub.add_parser("landscape", help="grid or orbit sweep to CSV")
-    common(p, controller=True)
+    common(p, controller=True, result=False)
     p.add_argument(
         "--sweep",
         action="append",

@@ -5,21 +5,25 @@ Both phases share one backtracking line search on the stacked controller
 parameters. A trial step outside the stabilizing set (where the cost is
 infinite) is rejected by its evaluation, which raises after the spectral
 check and before any Lyapunov solve; acceptance additionally requires
-Armijo decrease on the slope of the search direction. The phases differ
-only in that direction, its first trial step and its slope.
+Armijo decrease on the slope of the search direction. The search halves
+the step until a trial is accepted or until the trial rounds to the
+current iterate, where no step is left; it then reports none, without
+evaluating the iterate again. The phases differ only in the direction,
+its first trial step and its slope. A gradient search that finds no step
+ends the descent "stalled": J sits at its rounding floor, or the
+stability boundary blocks every trial.
 
 The Gauss-Newton phase preconditions the gradient blockwise with blocks
 the cost report already holds (_gauss_newton_direction), so each step
 needs no Lyapunov solve beyond its evaluations; it tries the unit step
-first. This
-is the Gauss-Newton step of Fazel et al. (2018, arXiv 1801.05039), whose
-unit step is Hewer's iteration for state feedback (Bu, Mesbahi, Fazel &
-Mesbahi 2019, arXiv 1907.08921). It reaches the stationary cost to
-rounding, but its gradient norm can stall well above GRAD_TOL. The phase
-therefore hands over, once, to the gradient phase when its predicted
-decrease g^T d falls within J's error, max(J_error, NOISE_SLACK (1 + |J|)),
-when a preconditioning block is singular, or when its line search finds
-no step. The gradient phase steps along the
+first. This is the Gauss-Newton step of Fazel et al. (2018, arXiv
+1801.05039), whose unit step is Hewer's iteration for state feedback
+(Bu, Mesbahi, Fazel & Mesbahi 2019, arXiv 1907.08921). It reaches the
+stationary cost to rounding, but its gradient norm can stall well above
+GRAD_TOL. The phase therefore hands over, once, to the gradient phase
+when its predicted decrease g^T d falls within J's error, max(J_error,
+NOISE_SLACK (1 + |J|)), when a preconditioning block is singular, or
+when its line search finds no step. The gradient phase steps along the
 raw gradient with the Barzilai-Borwein (BB1) quotient of the previous
 accepted step as trial step, which keeps progress alive in the
 ill-conditioned valley around the stationary point, and polishes the
@@ -76,7 +80,7 @@ from .similarity import apply, optimal_transform
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
-STABILITY_BOUNDARY = "stability_boundary"
+STALLED = "stalled"
 
 # Phases of the descent, in the order it runs them.
 GAUSS_NEWTON = "gauss_newton"
@@ -91,8 +95,7 @@ ITERATION_BUDGET = 100_000
 # Gauss-Newton phase handed over.
 STEP0 = 1e-2
 
-# Halving loses at most half of an acceptable step per rejected trial, and
-# MAX_BACKTRACKS halvings span more than the Barzilai-Borwein clip range.
+# Halving loses at most half of an acceptable step per rejected trial.
 BACKTRACK_FACTOR = 0.5
 
 # A small share of the first-order decrease, so that a long Barzilai-Borwein
@@ -101,13 +104,8 @@ ARMIJO_C = 1e-4
 
 # Stop rule on the gradient norm, absolute: the scalar examples, whose J is
 # of order ten, reach it, but where J is in the hundreds it lies below
-# rounding and descent ends on its budget.
+# rounding and descent ends stalled or on its budget.
 GRAD_TOL = 1e-8
-
-# Backtracking budget per iteration; exhausting it means no acceptable
-# step exists in the search ray, which happens against the stability
-# boundary (or once J sits at its floating-point floor).
-MAX_BACKTRACKS = 120
 
 # Accepted steps between orbit jumps, counted over both phases. Cadences
 # of 1, 2, 3, 5, 10 and 20 took 637, 584, 478, 535, 1031 and 1795
@@ -166,7 +164,8 @@ class DescentStep:
 @dataclass(frozen=True, eq=False)
 class DescentTrace:
     """Accepted iterates in order plus the terminal status, one of
-    "converged", "max_iter", or "stability_boundary"."""
+    "converged", "max_iter", or "stalled" (a gradient line search found
+    no step)."""
 
     steps: tuple
     status: str
@@ -210,8 +209,8 @@ class DescentTrace:
 
     @property
     def evaluations(self):
-        """evaluate calls over the accepted steps; a final line search that
-        found no step (status "stability_boundary") is not counted."""
+        """evaluate calls over the accepted steps; those of a final line
+        search that found no step (status "stalled") are not counted."""
         return sum(step.evaluations for step in self.steps)
 
 
@@ -266,14 +265,19 @@ def _gauss_newton_direction(plant, report, grad):
 
 def _line_search(plant, X, controller, theta, J, d, t, slope):
     """Backtracking search along -d from theta, starting at step t and
-    halving it until a trial evaluates and meets Armijo decrease on slope.
-    Returns the accepted (t, vector, controller, report) or None when
-    MAX_BACKTRACKS trials fail, and the number of trials and of trials that
-    left the stabilizing set."""
+    halving it until a trial evaluates and meets Armijo decrease on slope,
+    or until the trial theta - t d rounds to theta, where no step is left.
+    Returns the accepted (t, vector, controller, report), or None for no
+    step, and the number of evaluate calls made and of those that left the
+    stabilizing set. For finite d and t <= BB_STEP_MAX, the trial reaches
+    theta within about 1100 halvings, when t d underflows."""
     slack = NOISE_SLACK * (1.0 + abs(J))
-    rejected_unstable = 0
-    for trials in range(1, MAX_BACKTRACKS + 1):
+    evaluations = rejected_unstable = 0
+    while True:
         cand_vec = theta - t * d
+        if (cand_vec == theta).all():
+            return None, evaluations, rejected_unstable
+        evaluations += 1
         cand = controller_from_vector(controller, cand_vec)
         try:
             cand_report = evaluate(plant, cand, X)
@@ -284,9 +288,8 @@ def _line_search(plant, X, controller, theta, J, d, t, slope):
             pass
         else:
             if cand_report.J <= J - ARMIJO_C * t * slope + slack:
-                return (t, cand_vec, cand, cand_report), trials, rejected_unstable
+                return (t, cand_vec, cand, cand_report), evaluations, rejected_unstable
         t *= BACKTRACK_FACTOR
-    return None, MAX_BACKTRACKS, rejected_unstable
 
 
 def descend(plant, X, init, max_iter=ITERATION_BUDGET):
@@ -376,7 +379,7 @@ def descend(plant, X, init, max_iter=ITERATION_BUDGET):
             evaluations += trials
             rejected_unstable += unstable
         if found is None:
-            status = STABILITY_BOUNDARY
+            status = STALLED
             break
         t, cand_vec, cand, cand_report = found
         backtracks = evaluations - 1

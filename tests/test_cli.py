@@ -135,6 +135,16 @@ def test_solver_commands_take_no_tolerance(ex1_problem_file, capsys, command):
     assert "unrecognized arguments: --tol 1e-12" in capsys.readouterr().err
 
 
+def test_landscape_takes_no_json_flag(ex1_problem_file, tmp_path, capsys):
+    # landscape writes CSV; --json belongs to the commands that print one
+    # result
+    argv = ["landscape", "--problem", ex1_problem_file, "--orbit=1:2:3",
+            "--out", str(tmp_path / "orbit.csv"), "--json"]
+    assert main(argv) == 3
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+    assert not (tmp_path / "orbit.csv").exists()
+
+
 def test_eval_without_any_controller_exits_3(tmp_path):
     from conftest import EX1, CROSS_X
 

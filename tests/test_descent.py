@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import dlqr
 from dlqr import Controller, InitFailed, NotStabilizing, SolverDiverged
 from dlqr import descent as descent_mod
+from dlqr.model import controller_to_vector
 
 from oracles import random_pd_second_moment, random_plant_arrays
 
@@ -167,22 +168,46 @@ def _markov_parameters(controller, count):
     return np.array(out)
 
 
+def _gate_plant(s, n):
+    """Random single-input single-output plant of order n, its second
+    moment and its stationary certificate, drawn from seed (s, n)."""
+    rng = np.random.default_rng((s, n))
+    plant = dlqr.Plant(**random_plant_arrays(rng, n, 1, 1))
+    X = random_pd_second_moment(rng, n)
+    return plant, X, dlqr.stationary_candidate(plant, X)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("s", range(4))
 def test_descend_reaches_the_unique_stationary_point(s, n):
     # the observable stationary point is unique, so a short descent from a
     # random start must end at its cost, to J's error, and on its
     # similarity orbit
-    rng = np.random.default_rng((s, n))
-    plant = dlqr.Plant(**random_plant_arrays(rng, n, 1, 1))
-    X = random_pd_second_moment(rng, n)
-    cert = dlqr.stationary_candidate(plant, X)
+    plant, X, cert = _gate_plant(s, n)
     init = dlqr.random_stabilizing_init(plant, 0)
     trace = dlqr.descend(plant, X, init, max_iter=60)
     assert abs(trace.final_J - cert.J) <= trace.final_J_error + 1e-8 * (1.0 + cert.J)
     M_star = _markov_parameters(cert.K_star, 2 * n)
     M = _markov_parameters(trace.final_controller, 2 * n)
     assert np.linalg.norm(M - M_star) <= 1e-4 * (1.0 + np.linalg.norm(M_star))
+    # every accepted step moves the controller
+    thetas = [controller_to_vector(step.controller) for step in trace.steps]
+    for prev, theta in zip(thetas, thetas[1:]):
+        assert not np.array_equal(prev, theta)
+
+
+def test_descend_stalls_at_the_rounding_floor():
+    # this plant reaches J's rounding floor within a few dozen steps; there
+    # no trial meets Armijo before it rounds to the iterate, and the
+    # descent must end rather than spend its budget on steps that do not
+    # move
+    plant, X, cert = _gate_plant(1, 2)
+    init = dlqr.random_stabilizing_init(plant, 0)
+    trace = dlqr.descend(plant, X, init, max_iter=1000)
+    assert trace.status == dlqr.STALLED
+    assert trace.iterations <= 50
+    assert trace.evaluations <= 300
+    assert abs(trace.final_J - cert.J) <= trace.final_J_error + 1e-8 * (1.0 + cert.J)
 
 
 def test_descend_without_cross_block_never_jumps(ex1_plant, rounded_k1, monkeypatch):
@@ -240,27 +265,39 @@ def test_descend_backtracks_on_failed_trial_evaluation(
 def test_descend_hands_over_when_the_gauss_newton_search_finds_no_step(
     ex1_plant, rounded_k1, cross_X, monkeypatch
 ):
-    # every trial of the first Gauss-Newton search fails, so that search
-    # finds no step; the gradient phase takes the step instead, at STEP0,
-    # and keeps the rest of the descent
-    calls = []
-    real = descent_mod.evaluate
+    # every evaluation of the first Gauss-Newton search fails, so it halves
+    # the unit step until its trial rounds to the start and finds no step;
+    # the gradient phase takes the step instead, at STEP0, and keeps the
+    # rest of the descent
+    searches, calls = [], []
+    real_search, real_evaluate = descent_mod._line_search, descent_mod.evaluate
+
+    def recording_search(*args):
+        searches.append(args)
+        return real_search(*args)
 
     def fail_first_search(*args, **kwargs):
-        calls.append(args[1])
-        if 2 <= len(calls) <= 1 + descent_mod.MAX_BACKTRACKS:
+        calls.append(len(searches))
+        if len(searches) == 1:
             raise SolverDiverged("injected")
-        return real(*args, **kwargs)
+        return real_evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(descent_mod, "MAX_BACKTRACKS", 8)
+    monkeypatch.setattr(descent_mod, "_line_search", recording_search)
     monkeypatch.setattr(descent_mod, "evaluate", fail_first_search)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1, max_iter=10)
     assert trace.gauss_newton_iterations == 0
     assert all(s.phase == descent_mod.GRADIENT for s in trace.steps[1:])
+    # the failed search evaluated the trial steps 0.5**k, k = 0, 1, ..., up
+    # to the first whose trial equals the start, which it did not evaluate
+    theta, d, t = searches[0][3], searches[0][5], searches[0][6]
+    assert t == 1.0
+    failed = calls.count(1)
+    halvings = next(k for k in range(2000) if (theta - 0.5**k * d == theta).all())
+    assert 0 < failed == halvings
     first = trace.steps[1]
     assert first.step == descent_mod.STEP0
-    # the failed search's trials count towards the step that followed it
-    assert (first.evaluations, first.backtracks) == (9, 8)
+    # the failed search's evaluations count towards the step that followed it
+    assert (first.evaluations, first.backtracks) == (failed + 1, failed)
     assert trace.evaluations == len(calls)
 
 
@@ -298,21 +335,32 @@ def test_descend_hands_over_at_a_singular_block(ex2_plant, cross_X):
     assert first.step == descent_mod.STEP0 * 0.5**first.backtracks
 
 
-def test_descend_reports_stability_boundary(
-    ex1_plant, rounded_k1, cross_X, monkeypatch
-):
-    # with a single enormous trial step in each phase and no backtracking
-    # budget, neither line search can find a stabilizing candidate, and the
-    # descent must stop at the boundary rather than loop or step outside
-    real = descent_mod._gauss_newton_direction
+def test_descend_reports_stalled(ex1_plant, rounded_k1, cross_X, monkeypatch):
+    # with enormous first trial steps in each phase, all of them outside
+    # the stabilizing set, both line searches halve until their trial
+    # rounds to the start, and the descent must stop there rather than
+    # loop or step outside
+    calls = []
+    real_direction = descent_mod._gauss_newton_direction
+    real_evaluate = descent_mod.evaluate
+
+    def reject_trials(*args, **kwargs):
+        calls.append(args[1])
+        if len(calls) > 1:
+            raise NotStabilizing("injected")
+        return real_evaluate(*args, **kwargs)
+
     monkeypatch.setattr(
-        descent_mod, "_gauss_newton_direction", lambda *a: 1e8 * real(*a)
+        descent_mod, "_gauss_newton_direction", lambda *a: 1e8 * real_direction(*a)
     )
-    monkeypatch.setattr(descent_mod, "MAX_BACKTRACKS", 1)
     monkeypatch.setattr(descent_mod, "STEP0", 1e8)
+    monkeypatch.setattr(descent_mod, "evaluate", reject_trials)
     trace = dlqr.descend(ex1_plant, cross_X, rounded_k1)
-    assert trace.status == dlqr.STABILITY_BOUNDARY
+    assert trace.status == dlqr.STALLED
     assert trace.iterations == 0
+    # the searches evaluated trials, which the trace does not count
+    assert len(calls) > 2
+    assert trace.evaluations == 1
 
 
 def test_random_init_zero_noise_is_riccati_design(ex1_plant, monkeypatch):
