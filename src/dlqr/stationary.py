@@ -121,13 +121,14 @@ def stationary_candidate(plant, X):
     )
 
 
-def _guarded(compute):
-    # Residuals are diagnostics: a singular block means the identity
-    # cannot hold, reported as an infinite violation rather than an error.
+def _guarded(compute, *names):
+    # Residuals are diagnostics: a singular block means the identities
+    # cannot hold, reported as infinite violations rather than an error.
     try:
-        return float(compute())
+        values = compute()
     except (np.linalg.LinAlgError, SingularInnovation):
-        return float("inf")
+        values = [np.inf] * len(names)
+    return {name: float(value) for name, value in zip(names, values)}
 
 
 def verify_stationary(plant, X, candidate, report=None):
@@ -182,22 +183,14 @@ def verify_stationary(plant, X, candidate, report=None):
         L_hat = _filter_gain(A, C, S_schur)
         shift = np.linalg.solve(P22, P12.T)
         mix = S12 @ np.linalg.solve(S22, np.eye(plant.n))
-        return {
-            "first_order_A_K": float(
-                np.linalg.norm(candidate.A_K + shift @ (A - L_hat @ C - B @ K_hat) @ mix)
-            ),
-            "first_order_B_K": float(np.linalg.norm(candidate.B_K + shift @ L_hat)),
-            "first_order_C_K": float(np.linalg.norm(candidate.C_K + K_hat @ mix)),
-        }
-
-    try:
-        residuals.update(frozen_conditions())
-    except (np.linalg.LinAlgError, SingularInnovation):
-        residuals.update(
-            first_order_A_K=float("inf"),
-            first_order_B_K=float("inf"),
-            first_order_C_K=float("inf"),
+        return (
+            np.linalg.norm(candidate.A_K + shift @ (A - L_hat @ C - B @ K_hat) @ mix),
+            np.linalg.norm(candidate.B_K + shift @ L_hat),
+            np.linalg.norm(candidate.C_K + K_hat @ mix),
         )
+
+    names = ("first_order_A_K", "first_order_B_K", "first_order_C_K")
+    residuals.update(_guarded(frozen_conditions, *names))
 
     def observer_normalization():
         # In observer coordinates -P22^-1 P12^T is the identity; pulling
@@ -205,7 +198,7 @@ def verify_stationary(plant, X, candidate, report=None):
         # S @ (-P22^-1 P12^T) by congruence, so no second solve is needed.
         S = _right_divide(X.X12, X.X22)
         M = -np.linalg.solve(P22, P12.T)
-        return np.linalg.norm(S @ M - np.eye(plant.n))
+        return [np.linalg.norm(S @ M - np.eye(plant.n))]
 
-    residuals["observer_normalization"] = _guarded(observer_normalization)
+    residuals.update(_guarded(observer_normalization, "observer_normalization"))
     return residuals

@@ -208,8 +208,8 @@ def _random_stabilizing(plant, controller, rng):
 
 
 def _discrepancy(plant, controller, X):
-    """gradcheck's relative discrepancy between the analytic and the
-    complex-step gradient."""
+    """The discrepancy between the analytic and the complex-step gradient,
+    relative to 1 + ||grad||."""
     ga = dlqr.analytic_gradient(plant, controller, X)
     gf = dlqr.finite_difference_gradient(plant, controller, X)
     diff = dlqr.GradientTriple(ga.dA_K - gf.dA_K, ga.dB_K - gf.dB_K, ga.dC_K - gf.dC_K)

@@ -155,3 +155,15 @@ def test_observer_normalization_residual_infinite_when_unverifiable(ex2_plant):
     X = np.diag([1.0, 0.0])
     residuals = dlqr.verify_stationary(ex2_plant, X, controller)
     assert residuals["observer_normalization"] == float("inf")
+
+
+def test_first_order_residuals_infinite_when_unverifiable(ex2_plant):
+    # with B_K = C_K = 0 and X22 = 0 the controller state never moves, so
+    # P22 and Sigma22 vanish and no Schur complement exists: each residual
+    # that needs one reports +inf instead of failing
+    controller = dlqr.Controller(A_K=0.5, B_K=0.0, C_K=0.0)
+    residuals = dlqr.verify_stationary(ex2_plant, np.diag([1.0, 0.0]), controller)
+    for name in ("first_order_A_K", "first_order_B_K", "first_order_C_K",
+                 "observer_normalization"):
+        assert residuals[name] == float("inf")
+    assert np.isfinite(residuals["gradient_norm"])
